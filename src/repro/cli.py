@@ -144,30 +144,6 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
                              "later run with the same key")
 
 
-def _sim_workers_token(token: str) -> str:
-    """argparse type for ``--sim-workers``: validate, keep the token."""
-    from .memsim.shard import resolve_sim_workers
-
-    resolve_sim_workers(token)
-    return token
-
-
-def _add_sim_workers_arg(parser: argparse.ArgumentParser) -> None:
-    """``--sim-workers``: the set-sharded parallel cache walk."""
-    parser.add_argument("--sim-workers", metavar="N", dest="sim_workers",
-                        type=_sim_workers_token, default=None,
-                        help="shard the batched cache walk across N "
-                             "persistent forked workers (0 = serial; "
-                             "'auto' = one per effective CPU, up to 8, "
-                             "serial on one CPU; default: "
-                             "$REPRO_SIM_WORKERS or 0). Counts snap down "
-                             "to a power of two the cache geometry "
-                             "admits; ineligible configurations "
-                             "(multi-core, prefetcher, TLB, random "
-                             "replacement) fall back to the serial walk. "
-                             "Output is byte-identical in every mode")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -193,7 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="record spans/metrics and export them to DIR")
         _add_engine_arg(p)
         _add_pipeline_args(p)
-        _add_sim_workers_arg(p)
         _add_observability_args(p)
         if name == "optimize":
             _add_runner_args(p)
@@ -251,7 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="print machine-readable JSON instead of the tables")
     _add_engine_arg(p)
     _add_pipeline_args(p)
-    _add_sim_workers_arg(p)
     _add_runner_args(p)
     _add_observability_args(p)
 
@@ -284,7 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="allowed fractional throughput regression for "
                         "--check (default: 0.25)")
     _add_pipeline_args(p)
-    _add_sim_workers_arg(p)
     _add_observability_args(p)
 
     p = sub.add_parser(
@@ -369,7 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--periods", type=int, nargs="+",
                    default=[127, 509, 2003, 8009, 32003])
     _add_pipeline_args(p)
-    _add_sim_workers_arg(p)
     _add_runner_args(p)
     _add_observability_args(p)
 
@@ -402,8 +374,7 @@ def _monitored_run(args):
     monitor = Monitor(sampling_period=period,
                       engine=getattr(args, "engine", "batched"),
                       pipeline=getattr(args, "pipeline", "off"),
-                      trace_store=getattr(args, "trace_store", None),
-                      sim_workers=getattr(args, "sim_workers", None))
+                      trace_store=getattr(args, "trace_store", None))
     bound = workload.build_original()
     run = monitor.run(bound, num_threads=workload.num_threads)
     return workload, monitor, run, bound
@@ -518,9 +489,6 @@ def _pipeline_params(args, params: dict) -> dict:
     trace_store = getattr(args, "trace_store", None)
     if trace_store:
         params["trace_store"] = str(trace_store)
-    sim_workers = getattr(args, "sim_workers", None)
-    if sim_workers not in (None, 0, "0"):
-        params["sim_workers"] = str(sim_workers)
     return params
 
 
@@ -863,8 +831,7 @@ def _cmd_table3(args, out) -> int:
                           cache=args.cache, runner_stats=stats,
                           engine=getattr(args, "engine", "batched"),
                           pipeline=getattr(args, "pipeline", "off"),
-                          trace_store=getattr(args, "trace_store", None),
-                          sim_workers=getattr(args, "sim_workers", None))
+                          trace_store=getattr(args, "trace_store", None))
     _print_runner_stats(stats, args)
     if getattr(args, "json", False):
         _print_json(results_json(results), out)
@@ -886,8 +853,7 @@ def _cmd_bench(args, out) -> int:
         return 0
     result = run_bench(quick=args.quick,
                        pipeline=getattr(args, "pipeline", "off"),
-                       trace_store=getattr(args, "trace_store", None),
-                       sim_workers=getattr(args, "sim_workers", None))
+                       trace_store=getattr(args, "trace_store", None))
     path, entry = history.record_entry(
         args.history, result, sha=history.git_sha()
     )
@@ -1043,7 +1009,6 @@ def _cmd_sensitivity(args, out) -> int:
         workload, args.periods, jobs=args.jobs, cache=args.cache,
         runner_stats=stats, pipeline=getattr(args, "pipeline", "off"),
         trace_store=getattr(args, "trace_store", None),
-        sim_workers=getattr(args, "sim_workers", None),
     )
     _print_runner_stats(stats, args)
     print(sensitivity_table(workload.name, points).render(), file=out)

@@ -6,18 +6,11 @@ sampling engine consume them — but historically ran strictly
 sequentially in one thread. This package decouples production from
 consumption the way PROMPT-style collectors do:
 
-- :mod:`repro.engine.stream` runs the interpreter in a producer thread
-  feeding a bounded queue, so interpret overlaps simulate+sample while
-  chunk order (and therefore every numeric result) is preserved;
-- :mod:`repro.engine.shm` optionally moves the cache-walk stage into a
-  worker process, handing the ``array('q')`` columns across via
-  ``multiprocessing.shared_memory`` with guaranteed segment cleanup;
-- :mod:`repro.engine.shard` splits each batch into set-congruence
-  shards and walks them concurrently on persistent forked workers
-  (``--sim-workers``), scattering latencies back into trace order.
+:mod:`repro.engine.stream` runs the interpreter in a producer thread
+feeding a bounded queue, so interpret overlaps simulate+sample while
+chunk order (and therefore every numeric result) is preserved.
 
-Selection is the ``--pipeline {off,on,auto}`` flag (and, for the
-sharded walk, ``--sim-workers {0,N,auto}``) threaded through
+Selection is the ``--pipeline {off,on,auto}`` flag threaded through
 :class:`repro.profiler.monitor.Monitor`; ``auto`` enables the overlap
 only where it can help (more than one effective CPU).
 """

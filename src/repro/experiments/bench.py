@@ -73,7 +73,6 @@ def run_bench(
     progress: Optional[Callable[[str], None]] = None,
     pipeline: str = "off",
     trace_store: Optional[str] = None,
-    sim_workers=None,
 ) -> Dict[str, object]:
     """Measure both engines and return the BENCH json payload.
 
@@ -84,17 +83,8 @@ def run_bench(
     rollup — per-stage busy and stall clocks plus the overlap estimate
     — because once stages overlap, the isolated per-layer walls no
     longer sum to the end-to-end wall and attribution must say so.
-
-    ``sim_workers`` (an int, ``"auto"``, or None for the
-    ``$REPRO_SIM_WORKERS`` default) shards the *batched* simulate and
-    end-to-end measurements across persistent forked cache workers;
-    the payload then carries a top-level ``sim_workers`` count and an
-    ``end_to_end.workers`` per-worker busy/imbalance rollup from the
-    best repeat.  Serial runs keep the legacy payload byte for byte.
     """
     from ..engine import PipelineStats, pipelined, resolve_mode
-    from ..engine import shard as shard_engine
-    from ..memsim import shard as shardplan
 
     pipe_on = resolve_mode(pipeline)
     store = None
@@ -121,23 +111,6 @@ def run_bench(
 
     def hierarchy() -> MemoryHierarchy:
         return MemoryHierarchy(HierarchyConfig(), workload.num_threads)
-
-    workers = shardplan.resolve_sim_workers(
-        sim_workers, config=HierarchyConfig(), num_cores=workload.num_threads
-    )
-    if workers >= 2 and not shard_engine.shard_mode_available():
-        workers = 0
-    worker_runs: List[Tuple[float, Dict[str, object]]] = []
-
-    def batched_hierarchy():
-        """The hierarchy the batched measurements walk: sharded when
-        ``sim_workers`` resolved to a real worker count, serial
-        otherwise (identical results either way)."""
-        if workers >= 2:
-            return shard_engine.ShardedHierarchy(
-                HierarchyConfig(), workload.num_threads, workers
-            )
-        return hierarchy()
 
     def sampler() -> PEBSLoadLatencySampler:
         return PEBSLoadLatencySampler(period, seed=0)
@@ -176,12 +149,7 @@ def run_bench(
         return accesses
 
     def simulate_batched() -> int:
-        hier = batched_hierarchy()
-        try:
-            simulate(batched_trace, hierarchy=hier)
-        finally:
-            if workers >= 2:
-                hier.close()
+        simulate(batched_trace, hierarchy=hierarchy())
         return accesses
 
     layers["simulate"] = _layer(repeats, simulate_scalar, simulate_batched)
@@ -231,17 +199,9 @@ def run_bench(
             trace = raw()
         if pipe_on:
             trace = pipelined(trace, stats=stats)
-        hier = batched_hierarchy() if batched else hierarchy()
-        try:
-            metrics = simulate(trace, hierarchy=hier,
-                               observer=sampler().observe)
-        finally:
-            if batched and workers >= 2:
-                hier.close()
-        if batched and workers >= 2:
-            worker_runs.append(
-                (time.perf_counter() - t0, hier.shard_stats())
-            )
+        metrics = simulate(
+            trace, hierarchy=hierarchy(), observer=sampler().observe
+        )
         if batched and (pipe_on or store is not None):
             streamed_runs.append((time.perf_counter() - t0, stats))
         return metrics.accesses
@@ -256,13 +216,8 @@ def run_bench(
         rollup = stats.to_dict()
         rollup["overlap_s"] = stats.overlap_seconds(wall)
         end_to_end["pipeline"] = rollup
-    if worker_runs:
-        # The shard rollup of the best batched repeat: per-worker busy
-        # clocks, walk/line counts, and the busy-imbalance ratio.
-        _, shard_rollup = min(worker_runs, key=lambda pair: pair[0])
-        end_to_end["workers"] = shard_rollup
 
-    payload: Dict[str, object] = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "stamp": time.strftime("%Y%m%dT%H%M%S"),
         "python": sys.version.split()[0],
@@ -275,9 +230,6 @@ def run_bench(
         "layers": layers,
         "end_to_end": end_to_end,
     }
-    if workers >= 2:
-        payload["sim_workers"] = workers
-    return payload
 
 
 def _layer(

@@ -56,13 +56,12 @@ def run_benchmark(
     engine: str = "batched",
     pipeline: str = "off",
     trace_store: Union[str, Path, None] = None,
-    sim_workers: Union[int, str, None] = None,
 ) -> OptimizationResult:
     """One benchmark through the full profile->advise->split cycle."""
     workload = TABLE2_WORKLOADS[name](scale=scale)
     monitor = Monitor(
         sampling_period=workload.recommended_period, seed=seed, engine=engine,
-        pipeline=pipeline, trace_store=trace_store, sim_workers=sim_workers,
+        pipeline=pipeline, trace_store=trace_store,
     )
     return optimize(workload, monitor=monitor, analyzer=analyzer)
 
@@ -124,7 +123,6 @@ def run_all(
     engine: str = "batched",
     pipeline: str = "off",
     trace_store: Union[str, Path, None] = None,
-    sim_workers: Union[int, str, None] = None,
 ) -> Dict[str, object]:
     """All (or the named subset of) Table 2 benchmarks.
 
@@ -144,7 +142,6 @@ def run_all(
             name: run_benchmark(
                 name, scale=scale, seed=base_seed + rank, engine=engine,
                 pipeline=pipeline, trace_store=trace_store,
-                sim_workers=sim_workers,
             )
             for rank, name in enumerate(chosen)
         }
@@ -155,8 +152,6 @@ def run_all(
         params["pipeline"] = pipeline
     if trace_store:
         params["trace_store"] = str(trace_store)
-    if sim_workers not in (None, 0, "0"):
-        params["sim_workers"] = str(sim_workers)
     specs = [
         TaskSpec(
             kind="optimize",

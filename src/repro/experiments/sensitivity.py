@@ -55,7 +55,6 @@ def measure_period_point(
     bound: Optional[BoundProgram] = None,
     pipeline: str = "off",
     trace_store: Union[str, Path, None] = None,
-    sim_workers: Union[int, str, None] = None,
 ) -> PeriodPoint:
     """Run the full pipeline at one period and score the advice.
 
@@ -68,8 +67,7 @@ def measure_period_point(
     analyzer = analyzer or OfflineAnalyzer()
     bound = bound if bound is not None else workload.build_original()
     monitor = Monitor(sampling_period=period, deployment_period=None,
-                      seed=seed, pipeline=pipeline, trace_store=trace_store,
-                      sim_workers=sim_workers)
+                      seed=seed, pipeline=pipeline, trace_store=trace_store)
     run = monitor.run(bound, num_threads=workload.num_threads)
     report = analyzer.analyze(run)
     plans = derive_plans(report, workload.target_structs())
@@ -97,7 +95,6 @@ def sweep_sampling_period(
     runner_stats=None,
     pipeline: str = "off",
     trace_store: Union[str, Path, None] = None,
-    sim_workers: Union[int, str, None] = None,
 ) -> List[PeriodPoint]:
     """Run the full pipeline once per period and score the advice.
 
@@ -114,7 +111,6 @@ def sweep_sampling_period(
             measure_period_point(
                 workload, period, analyzer=analyzer, seed=seed, bound=bound,
                 pipeline=pipeline, trace_store=trace_store,
-                sim_workers=sim_workers,
             )
             for period in periods
         ]
@@ -131,8 +127,6 @@ def sweep_sampling_period(
         extra["pipeline"] = pipeline
     if trace_store:
         extra["trace_store"] = str(trace_store)
-    if sim_workers not in (None, 0, "0"):
-        extra["sim_workers"] = str(sim_workers)
     specs = [
         TaskSpec(
             kind="sensitivity-point",

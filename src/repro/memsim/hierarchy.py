@@ -224,20 +224,6 @@ class MemoryHierarchy:
     #: path onto tiny batches.
     VECTOR_MIN_BATCH = 256
 
-    @property
-    def supports_batch(self) -> bool:
-        """True when :meth:`access_batch` is exact for this machine.
-
-        Every configuration batches now. The single-core simple machine
-        (no directory, prefetcher, or TLB) takes the vectorized
-        tag-array walk (:mod:`repro.memsim.vectorwalk`) or, for small
-        batches and numpy-less installs, the inlined list walk; every
-        other machine takes a chunked trace-ordered loop that honors
-        the batch's write and thread columns. Parity with per-access
-        :meth:`access` stays byte-identical either way.
-        """
-        return True
-
     def access_batch(self, addresses, sizes, is_write=None, thread=None):
         """Latency column for a column of accesses (any machine).
 

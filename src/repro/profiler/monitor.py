@@ -11,14 +11,12 @@ analyzer consumes.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
 from ..binary.linemap import LineMap
 from ..binary.loopmap import LoopMap
 from ..engine import PipelineStats, pipelined, resolve_mode
-from ..memsim import shard as shardplan
 from ..memsim.engine import CostModel, simulate
 from ..memsim.hierarchy import HierarchyConfig, MemoryHierarchy
 from ..memsim.stats import RunMetrics
@@ -85,7 +83,6 @@ class Monitor:
         engine: str = "batched",
         pipeline: str = "off",
         trace_store: Union[str, TraceStore, None] = None,
-        sim_workers: Union[int, str, None] = None,
     ) -> None:
         """``sampling_period`` is the period the *analysis* samples at;
         simulated traces are far shorter than real executions, so it is
@@ -100,24 +97,14 @@ class Monitor:
         ``pipeline`` (``off``/``on``/``auto``) moves the interpret
         stage onto a producer thread feeding simulate/sample through a
         bounded queue (``auto``: only when a second CPU exists); chunk
-        order is preserved, so results stay byte-identical.  With
-        ``REPRO_PIPELINE_PROCESS=1`` in the environment a pipelined run
-        additionally walks the cache hierarchy in a worker process over
-        shared memory (skipped under telemetry, which needs the
-        in-process hierarchy's metric surface).  ``trace_store`` (a
-        directory or :class:`TraceStore`) captures the interpreter's
-        item stream on first run and replays it on every later run with
-        the same content key, skipping interpretation entirely.
-        ``sim_workers`` (0, N, or ``"auto"``; default consults
-        ``$REPRO_SIM_WORKERS``) shards the batched cache walk across
-        that many persistent forked workers where the configuration is
-        shard-eligible — results stay byte-identical, ineligible
-        machines and the scalar engine silently fall back to the
-        serial walk (see :mod:`repro.memsim.shard`)."""
+        order is preserved, so results stay byte-identical.
+        ``trace_store`` (a directory or :class:`TraceStore`) captures
+        the interpreter's item stream on first run and replays it on
+        every later run with the same content key, skipping
+        interpretation entirely."""
         if engine not in ("scalar", "batched"):
             raise ValueError(f"unknown engine {engine!r}")
         resolve_mode(pipeline)  # validate early, before any run
-        shardplan.resolve_sim_workers(sim_workers)  # validate early too
         self.sampling_period = sampling_period
         self.deployment_period = deployment_period
         self.sampler_cls = sampler_cls
@@ -126,7 +113,6 @@ class Monitor:
         self.seed = seed
         self.engine = engine
         self.pipeline = pipeline
-        self.sim_workers = sim_workers
         if trace_store is None or isinstance(trace_store, TraceStore):
             self.trace_store = trace_store
         else:
@@ -175,39 +161,6 @@ class Monitor:
         if resolve_mode(self.pipeline):
             items = pipelined(items, stats=stats)
         return items
-
-    def _make_hierarchy(self, config, cores: int):
-        """``(hierarchy, needs_close)``: in-process or a worker form.
-
-        The sharded walk (``sim_workers``) takes precedence when the
-        configuration is shard-eligible, then process mode
-        (``REPRO_PIPELINE_PROCESS=1``) on top of an enabled pipeline.
-        Neither runs under telemetry — metric export needs the
-        in-process hierarchy's full surface.
-        """
-        cfg = config or HierarchyConfig()
-        if self.engine == "batched" and not telemetry.enabled():
-            workers = shardplan.resolve_sim_workers(
-                self.sim_workers, config=cfg, num_cores=cores
-            )
-            if workers >= 2:
-                from ..engine import shard as shard_engine
-
-                if shard_engine.shard_mode_available():
-                    return (
-                        shard_engine.ShardedHierarchy(cfg, cores, workers),
-                        True,
-                    )
-        if (
-            resolve_mode(self.pipeline)
-            and os.environ.get("REPRO_PIPELINE_PROCESS") == "1"
-            and not telemetry.enabled()
-        ):
-            from ..engine import shm
-
-            if shm.process_mode_available():
-                return shm.RemoteHierarchy(cfg, cores), True
-        return MemoryHierarchy(cfg, cores), False
 
     def _export_stream_metrics(self, registry, stats: PipelineStats) -> None:
         """Trace-store / pipeline counters for the telemetry snapshot."""
@@ -262,24 +215,13 @@ class Monitor:
     ) -> ProfiledRun:
         """Execute ``bound`` under monitoring and return the profile."""
         cores = num_cores if num_cores is not None else num_threads
-        hierarchy, remote = self._make_hierarchy(config, cores)
+        hierarchy = MemoryHierarchy(config or HierarchyConfig(), cores)
         sampler = self.make_sampler()
         pmu = getattr(sampler, "PMU_NAME", type(sampler).__name__)
         tracer = telemetry.tracer()
         stats = PipelineStats()
         self.last_pipeline_stats = stats
 
-        try:
-            return self._run_inner(
-                bound, num_threads, hierarchy, sampler, pmu, tracer, stats
-            )
-        finally:
-            if remote:
-                hierarchy.close()
-
-    def _run_inner(
-        self, bound, num_threads, hierarchy, sampler, pmu, tracer, stats
-    ) -> "ProfiledRun":
         with tracer.span(
             "run",
             workload=bound.name,
@@ -431,36 +373,32 @@ class Monitor:
     ) -> RunMetrics:
         """Execute without any sampling (the baseline for overhead)."""
         cores = num_cores if num_cores is not None else num_threads
-        hierarchy, remote = self._make_hierarchy(config, cores)
+        hierarchy = MemoryHierarchy(config or HierarchyConfig(), cores)
         stats = PipelineStats()
         self.last_pipeline_stats = stats
-        try:
-            with telemetry.tracer().span(
-                "simulate",
-                workload=bound.name,
+        with telemetry.tracer().span(
+            "simulate",
+            workload=bound.name,
+            variant=bound.variant,
+            threads=num_threads,
+            monitored=False,
+        ) as span:
+            interp = Interpreter(bound, num_threads=num_threads)
+            metrics = simulate(
+                self._items(bound, interp, num_threads, stats),
+                hierarchy=hierarchy,
+                cost=self.cost_model,
+                name=bound.name,
                 variant=bound.variant,
-                threads=num_threads,
-                monitored=False,
-            ) as span:
-                interp = Interpreter(bound, num_threads=num_threads)
-                metrics = simulate(
-                    self._items(bound, interp, num_threads, stats),
-                    hierarchy=hierarchy,
-                    cost=self.cost_model,
-                    name=bound.name,
-                    variant=bound.variant,
-                )
-                span.set(accesses=metrics.accesses, cycles=metrics.cycles)
-                self._set_pipeline_attrs(span, stats)
-            if telemetry.enabled():
-                registry = telemetry.metrics_registry()
-                hierarchy.export_metrics(registry)
-                self._export_stream_metrics(registry, stats)
-                telemetry.publish_metric_deltas(
-                    registry, telemetry.events.bus(),
-                    workload=bound.name, variant=bound.variant,
-                )
-            return metrics
-        finally:
-            if remote:
-                hierarchy.close()
+            )
+            span.set(accesses=metrics.accesses, cycles=metrics.cycles)
+            self._set_pipeline_attrs(span, stats)
+        if telemetry.enabled():
+            registry = telemetry.metrics_registry()
+            hierarchy.export_metrics(registry)
+            self._export_stream_metrics(registry, stats)
+            telemetry.publish_metric_deltas(
+                registry, telemetry.events.bus(),
+                workload=bound.name, variant=bound.variant,
+            )
+        return metrics

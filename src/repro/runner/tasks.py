@@ -89,16 +89,10 @@ def execute_task(spec: TaskSpec) -> object:
 
 
 def _stream_params(spec: TaskSpec) -> Dict[str, object]:
-    """The optional streaming-engine knobs, absent from legacy specs.
-
-    ``sim_workers`` rides along the same way: present in ``params``
-    only when non-default, so legacy cache keys stay stable while any
-    explicit shard config keys the cached result.
-    """
+    """The optional streaming-engine knobs, absent from legacy specs."""
     return {
         "pipeline": str(spec.params.get("pipeline", "off")),
         "trace_store": spec.params.get("trace_store"),
-        "sim_workers": spec.params.get("sim_workers"),
     }
 
 

@@ -50,11 +50,6 @@ The event taxonomy:
 ``replay-hit``     a trace-store replay served a run without
                    interpreting (``workload``, ``key``, ``items``,
                    ``accesses``)
-``worker-busy``    sharded simulation: one worker's lifetime walk clock
-                   (``worker``, ``busy_s``, ``walks``, ``lines``)
-``shard-imbalance`` sharded simulation: load skew across the worker
-                   pool at close (``shards``, ``imbalance`` max/mean
-                   busy, ``dispatches``)
 =================  ========================================================
 """
 
@@ -77,8 +72,6 @@ EVENT_TYPES = frozenset(
         "queue-depth",
         "stall",
         "replay-hit",
-        "worker-busy",
-        "shard-imbalance",
     }
 )
 

@@ -188,8 +188,8 @@ class TestPipelineParity:
 class TestConfigParity:
     """Batch exactness over the full machine-configuration space.
 
-    supports_batch no longer excludes multi-core, coherence, prefetch,
-    TLB, or any replacement policy; every combination must stay
+    Every machine batches, including multi-core, coherence, prefetch,
+    TLB, and every replacement policy; each combination must stay
     byte-identical to the scalar walk, whichever internal path it takes
     (vector tag-array walk, inlined list walk, or the chunked general
     loop). ``vector_min`` forces promotion at batch length 1 or forbids

@@ -169,7 +169,6 @@ class TestHierarchyBatch:
             for a, s, w, t in zip(addresses, sizes, writes, threads)
         ]
         hierarchy = MemoryHierarchy(config, num_cores)
-        assert hierarchy.supports_batch
         got = hierarchy.access_batch(addresses, sizes, writes, threads)
         assert got == expected
         assert hierarchy.miss_summary() == reference.miss_summary()
@@ -187,15 +186,6 @@ class TestHierarchyBatch:
             tlb=TLBConfig(l1_entries=8, l1_ways=4, l2_entries=16, l2_ways=4)
         )
         self.run_general_parity(config, 1)
-
-    def test_every_configuration_supports_batch(self):
-        for config, cores in [
-            (HierarchyConfig(), 4),
-            (HierarchyConfig(prefetch_degree=2), 1),
-            (HierarchyConfig(tlb=TLBConfig()), 2),
-            (HierarchyConfig(replacement="random"), 3),
-        ]:
-            assert MemoryHierarchy(config, cores).supports_batch
 
 
 class TestVectorWalk:
@@ -286,40 +276,6 @@ class TestVectorWalk:
         ]
         assert hierarchy.access_batch(addresses, sizes) == expected
         assert hierarchy._vector_state == 0
-
-
-class TestExpansionProgress:
-    def test_expanded_batches_publish_progress_inside_the_loop(self, monkeypatch):
-        # When a hierarchy opts out of the columnar path the engine
-        # expands each batch per access; progress must be published at
-        # PROGRESS_EVERY granularity *inside* the expansion loop, not
-        # once per (potentially huge) batch.
-        import repro.memsim.engine as engine_mod
-        from repro.telemetry import events
-        from repro.telemetry.events import EventBus
-
-        monkeypatch.setattr(engine_mod, "PROGRESS_EVERY", 16)
-        monkeypatch.setattr(
-            MemoryHierarchy, "supports_batch", property(lambda self: False)
-        )
-        bound = program(Mod(affine("i", 1, 0), ELEMENTS), stop=200)
-        trace = list(Interpreter(bound).run_batched())
-        batches = [t for t in trace if isinstance(t, AccessBatch)]
-        assert batches and max(b.length for b in batches) > 64
-        seen = []
-        bus = EventBus()
-        bus.subscribe(
-            lambda e: seen.append(e) if e.type == "stage-progress" else None
-        )
-        with events.use(bus):
-            simulate(iter(trace), config=HierarchyConfig())
-        assert len(seen) >= 4
-        assert all(e.data["stage"] == "simulate" for e in seen)
-        dones = [e.data["done"] for e in seen]
-        assert dones == sorted(dones)
-        # Granularity: consecutive publications are ~PROGRESS_EVERY
-        # apart, so at least one pair lands inside a single batch.
-        assert min(b - a for a, b in zip(dones, dones[1:])) <= 2 * 16
 
 
 class TestSamplerBatch:

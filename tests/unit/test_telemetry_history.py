@@ -1,6 +1,7 @@
 """Unit tests for the bench history store and regression attribution."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -285,3 +286,44 @@ class TestOverlapAttribution:
         head = history.make_entry(pipelined_bench())
         attribution = history.attribute(base, head, engine="scalar")
         assert attribution.overlap_notes == []
+
+
+#: The committed trajectory under ``benchmarks/history/``.
+COMMITTED = Path(__file__).resolve().parents[2] / "benchmarks" / "history"
+
+
+class TestCommittedStore:
+    """The committed history must keep loading as the code moves on,
+    including entries written by mechanisms since removed (the sharded
+    bench-98b687a58ec7 still carries its ``workers`` rollup)."""
+
+    def load(self):
+        return history.load_history(COMMITTED, legacy_dirs=())
+
+    def test_every_entry_loads(self):
+        entries = self.load()
+        ids = [entry["id"] for entry in entries]
+        assert ids == [
+            "aa1b1d6c2815", "ad0b56225496", "62c9f40543f2",
+            "b28bf5df06f8", "98b687a58ec7",
+        ]
+        assert "workers" in entries[-1]
+
+    def test_trend_lists_every_entry(self):
+        entries = self.load()
+        trend = history.render_trend(entries, history_dir=COMMITTED)
+        assert "5 snapshot(s)" in trend
+        for entry in entries:
+            assert entry["id"] in trend
+        assert "wrk" not in trend
+
+    def test_sharded_entry_attributes_to_simulate(self):
+        base = history.load_ref("b28bf5df06f8", COMMITTED)
+        head = history.load_ref("98b687a58ec7", COMMITTED)
+        attribution = history.attribute(base, head)
+        assert attribution.dominant.stage == "simulate"
+        assert attribution.dominant.delta_seconds == pytest.approx(
+            0.188, abs=5e-4
+        )
+        assert attribution.overlap_notes == []
+        assert "worker" not in attribution.render()
