@@ -844,6 +844,7 @@ def _cmd_table3(args, out) -> int:
 
 def _cmd_bench(args, out) -> int:
     from .experiments.bench import run_bench, check_regression, write_bench
+    from .memsim import kernel
     from .telemetry import history
 
     if args.trend:
@@ -858,6 +859,7 @@ def _cmd_bench(args, out) -> int:
         args.history, result, sha=history.git_sha()
     )
     print(f"recorded history entry {entry['id']}: {path}", file=out)
+    print(kernel.describe(), file=out)
     if args.out:
         print(f"wrote {write_bench(result, args.out)}", file=out)
     summary = result["end_to_end"]

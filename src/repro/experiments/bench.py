@@ -22,6 +22,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..memsim import kernel
 from ..memsim.engine import simulate
 from ..memsim.hierarchy import HierarchyConfig, MemoryHierarchy
 from ..program.batch import AccessBatch
@@ -221,6 +222,7 @@ def run_bench(
         "schema_version": SCHEMA_VERSION,
         "stamp": time.strftime("%Y%m%dT%H%M%S"),
         "python": sys.version.split()[0],
+        "walk_kernel": kernel.status(),
         "workload": workload.name,
         "scale": scale,
         "quick": quick,

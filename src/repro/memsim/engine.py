@@ -90,20 +90,25 @@ def simulate(
     # with its own arithmetic is called per latency instead.
     inline_stall = type(cost) is CostModel
     mlp = cost.mlp
-    # The vector walk returns a float64 ndarray; its sums may be taken
-    # order-free iff every partial result is exact: integer-valued
-    # latencies (magnitudes stay far below 2**53) and a stall divisor
-    # that is a power of two. Otherwise the column is walked in trace
-    # order like a list, which is bitwise the scalar accumulation.
+    # With numpy installed the walk kernel returns a float64 ndarray; its
+    # sums may be taken order-free iff every partial result is exact:
+    # integer-valued latency components (magnitudes stay far below 2**53)
+    # and a stall divisor that is a power of two. Otherwise the column is
+    # walked in trace order like a list, which is bitwise the scalar
+    # accumulation.
     hcfg = hier.config
+    components = [l1_latency, hcfg.l2.latency, hcfg.l3.latency,
+                  hcfg.dram_latency]
+    if hier.directory is not None:
+        components += [hier.directory.c2c_latency,
+                       hier.directory.upgrade_latency]
+    if hcfg.tlb is not None:
+        components += [hcfg.tlb.l2_latency, hcfg.tlb.walk_latency]
     exact_column_sums = (
         inline_stall
         and mlp > 0.0
         and math.frexp(mlp)[0] == 0.5
-        and float(l1_latency).is_integer()
-        and float(hcfg.l2.latency).is_integer()
-        and float(hcfg.l3.latency).is_integer()
-        and float(hcfg.dram_latency).is_integer()
+        and all(float(lat).is_integer() for lat in components)
     )
     observe_batch = None
     if observer is not None:
@@ -138,15 +143,15 @@ def simulate(
                 max_thread = item.max_thread
             if type(latencies) is list:
                 column = latencies
-            elif exact_column_sums:
-                # ndarray from the vector walk: order-free exact sums.
+            elif exact_column_sums and hasattr(latencies, "sum"):
+                # ndarray from the walk kernel: order-free exact sums.
                 total_latency += float(latencies.sum())
                 extra = latencies - l1_latency
                 stalled = extra > 0.0
                 if stalled.any():
                     stalls += float(extra[stalled].sum()) / mlp
                 column = None
-            else:
+            else:  # an ndarray or the kernel's array('d')
                 column = latencies.tolist()
             if column is not None:
                 if inline_stall:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from . import vectorwalk
+from . import kernel
 from .cache import SetAssociativeCache
 from .coherence import MESIDirectory
 from .prefetch import StreamPrefetcher
@@ -109,7 +109,7 @@ class MemoryHierarchy:
             policy=self.config.replacement,
             seed=997,
         )
-        self.dram_accesses = 0
+        self._dram_accesses = 0
         # MESI directory, kept only when coherence is on and there is
         # more than one core. The directory is slightly conservative:
         # silent LRU evictions from private caches are not reported, so
@@ -120,28 +120,17 @@ class MemoryHierarchy:
         self.directory: Optional[MESIDirectory] = (
             MESIDirectory() if self._track_sharing else None
         )
-        # Batched-path bookkeeping. A "simple" machine (one core, no
-        # directory/prefetcher/TLB) takes the inlined single-core walk;
-        # once batches are large enough its caches are promoted to the
-        # numpy tag-array representation (state 1). State -1 means the
-        # vector path is off for good (no numpy, random replacement, or
-        # demoted after persistently unsafe batches).
-        self._simple_batch = (
-            num_cores == 1
-            and self.directory is None
-            and self.config.prefetch_degree == 0
-            and self.config.tlb is None
-        )
-        self._vector_state = 0
-        self._vector_slow_batches = 0
-        # Steady-state walk memo, attached at vector promotion (see
-        # repro.memsim.memo); None until then or when disabled.
-        self._walk_memo = None
+        # The compiled walk, attached by access_batch (see its promotion
+        # rule); None while the Python walk owns the state.
+        self._kernel: Optional[kernel.KernelWalk] = None
+        self._kernel_tried = False
 
     # -- main access path ------------------------------------------------
 
     def access(self, core_id: int, address: int, size: int, is_write: bool) -> float:
         """Perform one access; returns its load-to-use latency in cycles."""
+        if self._kernel is not None:
+            return self._kernel.access(core_id, address, size, is_write)
         first = address >> self._line_bits
         last = (address + size - 1) >> self._line_bits
         latency = self._access_line(core_id, first, is_write)
@@ -189,7 +178,7 @@ class MemoryHierarchy:
         # L2 miss: consult the streamer before going to L3.
         for pf_line in core.prefetcher.observe_miss(line):
             if not self.l3.contains(pf_line):
-                self.dram_accesses += 1
+                self._dram_accesses += 1
                 self.l3.fill(pf_line)
             evicted_pf = core.l2.fill(pf_line)
             core.prefetched.add(pf_line)
@@ -199,7 +188,7 @@ class MemoryHierarchy:
         if self.l3.access(line):
             latency = cfg.l3.latency
         else:
-            self.dram_accesses += 1
+            self._dram_accesses += 1
             latency = cfg.dram_latency
         if self.directory is not None and not is_write:
             # Read fill: a dirty remote copy is forwarded cache-to-cache.
@@ -218,12 +207,6 @@ class MemoryHierarchy:
 
     # -- batched access path -----------------------------------------------
 
-    #: Smallest batch worth promoting the simple machine's caches to
-    #: the numpy tag-array representation; below it the inlined list
-    #: walk wins. Tests lower it (per instance) to force the vector
-    #: path onto tiny batches.
-    VECTOR_MIN_BATCH = 256
-
     def access_batch(self, addresses, sizes, is_write=None, thread=None):
         """Latency column for a column of accesses (any machine).
 
@@ -235,171 +218,31 @@ class MemoryHierarchy:
         machines with a coherence directory or several cores — exactly
         where the engine passes the real columns.
 
-        Dispatch: the simple single-core machine uses the vectorized
-        numpy walk once batches are big enough (returning a float64
-        ndarray), else an inlined list walk with a same-line memo; any
-        other machine takes :meth:`_access_batch_general`.
+        Promotion rule: at its first call, a hierarchy that does not use
+        random replacement moves onto the compiled walk kernel
+        (:mod:`repro.memsim.kernel`) if the kernel loads, taking along
+        whatever state earlier :meth:`access` calls built. From then on
+        every access runs there — this method returns a float64 column
+        (``array('d')``, or an ndarray when numpy is installed) and
+        :meth:`access` makes 1-element kernel calls — so the state never
+        splits into two copies. Otherwise (random replacement or no
+        compiler) every column takes :meth:`_access_batch_general`.
         """
-        if not self._simple_batch:
-            return self._access_batch_general(addresses, sizes, is_write, thread)
-        state = self._vector_state
-        if state >= 0 and vectorwalk.HAVE_NUMPY:
-            if state == 1:
-                if self._walk_memo is not None:
-                    return self._walk_memo.walk(
-                        self, addresses, sizes, is_write
-                    )
-                return vectorwalk.walk_batch(self, addresses, sizes, is_write)
-            if (
-                len(addresses) >= self.VECTOR_MIN_BATCH
-                and self.config.replacement != "random"
-            ):
-                self._promote_to_vector()
-                if self._walk_memo is not None:
-                    return self._walk_memo.walk(
-                        self, addresses, sizes, is_write
-                    )
-                return vectorwalk.walk_batch(self, addresses, sizes, is_write)
-        cfg = self.config
-        core = self.cores[0]
-        l1, l2, l3 = core.l1, core.l2, self.l3
-        line_bits = self._line_bits
-        l1_lat = cfg.l1.latency
-        l2_lat = cfg.l2.latency
-        l3_lat = cfg.l3.latency
-        dram_lat = cfg.dram_latency
-        out: List[float] = []
-        append = out.append
-        prev_line = -1
-
-        if cfg.replacement == "random":
-            # Victim choice draws from each cache's RNG; the method path
-            # keeps the draw sequence identical to scalar access().
-            l1_access, l2_access, l3_access = l1.access, l2.access, l3.access
-            l1_fill, l2_fill = l1.fill, l2.fill
-            dram = 0
-            for address, size in zip(addresses, sizes):
-                first = address >> line_bits
-                if (address + size - 1) >> line_bits != first:
-                    # Split access: rare; take the full scalar path
-                    # (writes are indistinguishable from reads without
-                    # a directory).
-                    self.dram_accesses += dram
-                    dram = 0
-                    append(self.access(0, address, size, False))
-                    prev_line = -1
-                    continue
-                if first == prev_line:
-                    l1.hits += 1
-                    append(l1_lat)
-                    continue
-                prev_line = first
-                if l1_access(first):
-                    append(l1_lat)
-                elif l2_access(first):
-                    l1_fill(first)
-                    append(l2_lat)
-                else:
-                    if l3_access(first):
-                        latency = l3_lat
-                    else:
-                        dram += 1
-                        latency = dram_lat
-                    l2_fill(first)
-                    l1_fill(first)
-                    append(latency)
-            self.dram_accesses += dram
-            return out
-
-        # LRU/FIFO: the whole walk inlines to list operations. The level
-        # arithmetic mirrors SetAssociativeCache.access exactly — a miss
-        # allocates immediately (so the follow-up fill() in the scalar
-        # path is a no-op we can skip), LRU promotes on non-MRU hits,
-        # FIFO does not, both evict the list head.
-        promote = cfg.replacement == "lru"
-        l1_sets, l1_mask, l1_ways = l1._sets, l1._set_mask, l1.ways
-        l2_sets, l2_mask, l2_ways = l2._sets, l2._set_mask, l2.ways
-        l3_sets, l3_mask, l3_ways = l3._sets, l3._set_mask, l3.ways
-        l1_hits = l1_misses = l1_evicts = 0
-        l2_hits = l2_misses = l2_evicts = 0
-        l3_hits = l3_misses = l3_evicts = 0
-        dram = 0
-        for address, size in zip(addresses, sizes):
-            first = address >> line_bits
-            if (address + size - 1) >> line_bits != first:
-                # Flush local counters so the scalar call sees a
-                # consistent hierarchy, then take the full path (the
-                # write bit is unobservable without a directory).
-                l1.hits += l1_hits; l1.misses += l1_misses
-                l1.evictions += l1_evicts
-                l2.hits += l2_hits; l2.misses += l2_misses
-                l2.evictions += l2_evicts
-                l3.hits += l3_hits; l3.misses += l3_misses
-                l3.evictions += l3_evicts
-                self.dram_accesses += dram
-                l1_hits = l1_misses = l1_evicts = 0
-                l2_hits = l2_misses = l2_evicts = 0
-                l3_hits = l3_misses = l3_evicts = 0
-                dram = 0
-                append(self.access(0, address, size, False))
-                prev_line = -1
-                continue
-            if first == prev_line:
-                l1_hits += 1
-                append(l1_lat)
-                continue
-            prev_line = first
-            tags = l1_sets[first & l1_mask]
-            if first in tags:
-                l1_hits += 1
-                if promote and tags[-1] != first:
-                    tags.remove(first)
-                    tags.append(first)
-                append(l1_lat)
-                continue
-            l1_misses += 1
-            if len(tags) >= l1_ways:
-                del tags[0]
-                l1_evicts += 1
-            tags.append(first)
-            tags = l2_sets[first & l2_mask]
-            if first in tags:
-                l2_hits += 1
-                if promote and tags[-1] != first:
-                    tags.remove(first)
-                    tags.append(first)
-                append(l2_lat)
-                continue
-            l2_misses += 1
-            if len(tags) >= l2_ways:
-                del tags[0]
-                l2_evicts += 1
-            tags.append(first)
-            tags = l3_sets[first & l3_mask]
-            if first in tags:
-                l3_hits += 1
-                if promote and tags[-1] != first:
-                    tags.remove(first)
-                    tags.append(first)
-                append(l3_lat)
-                continue
-            l3_misses += 1
-            if len(tags) >= l3_ways:
-                del tags[0]
-                l3_evicts += 1
-            tags.append(first)
-            dram += 1
-            append(dram_lat)
-        l1.hits += l1_hits; l1.misses += l1_misses; l1.evictions += l1_evicts
-        l2.hits += l2_hits; l2.misses += l2_misses; l2.evictions += l2_evicts
-        l3.hits += l3_hits; l3.misses += l3_misses; l3.evictions += l3_evicts
-        self.dram_accesses += dram
-        return out
+        if not self._kernel_tried:
+            self._kernel_tried = True
+            self._kernel = kernel.attach(self)
+            if self._kernel is not None:
+                self.cores = self._kernel.cores
+                self.l3 = self._kernel.l3
+                self.directory = self._kernel.directory
+        if self._kernel is not None:
+            return self._kernel.walk(addresses, sizes, is_write, thread)
+        return self._access_batch_general(addresses, sizes, is_write, thread)
 
     def _access_batch_general(
         self, addresses, sizes, is_write=None, thread=None
     ) -> List[float]:
-        """Chunked trace-ordered walk for every non-simple machine.
+        """Trace-ordered Python walk for machines without the kernel.
 
         One call per batch instead of one :class:`MemoryAccess` object
         per access: the loop reads the raw columns, maps threads to
@@ -450,43 +293,12 @@ class MemoryHierarchy:
             out[i] = access(core_id, address, size, write)
         return out
 
-    # -- vector-path state management ---------------------------------------
-
-    def _promote_to_vector(self) -> None:
-        """Convert the simple machine's caches to tag arrays."""
-        from . import memo
-
-        core = self.cores[0]
-        core.l1 = vectorwalk.TagArrayCache(core.l1)
-        core.l2 = vectorwalk.TagArrayCache(core.l2)
-        self.l3 = vectorwalk.TagArrayCache(self.l3)
-        self._vector_state = 1
-        if memo.enabled():
-            self._walk_memo = memo.WalkMemo()
-
-    def _demote_from_vector(self) -> None:
-        """Back to list caches, for workloads the vector walk dislikes."""
-        core = self.cores[0]
-        core.l1 = core.l1.to_list_cache()
-        core.l2 = core.l2.to_list_cache()
-        self.l3 = self.l3.to_list_cache()
-        self._vector_state = -1
-
-    def _vector_feedback(self, replayed: int, total: int) -> None:
-        """Demote after three consecutive replay-dominated batches.
-
-        The vector walk replays accesses in "unsafe" sets through a
-        per-access loop; when most of a batch replays (thrash-heavy
-        footprints near a cache's capacity) the list walk is faster,
-        and the conversion preserves state exactly so results do not
-        change — only speed does.
-        """
-        if replayed * 2 > total:
-            self._vector_slow_batches += 1
-            if self._vector_slow_batches >= 3:
-                self._demote_from_vector()
-        else:
-            self._vector_slow_batches = 0
+    @property
+    def dram_accesses(self) -> int:
+        """DRAM line fetches (demand misses and prefetches)."""
+        if self._kernel is not None:
+            return self._kernel.dram_accesses
+        return self._dram_accesses
 
     @property
     def invalidations(self) -> int:
@@ -532,20 +344,6 @@ class MemoryHierarchy:
         registry.counter(
             "repro_memsim_dram_accesses_total", help="DRAM line fetches",
         ).add(self.dram_accesses)
-        if self._walk_memo is not None:
-            memo = self._walk_memo
-            registry.counter(
-                "repro_memsim_walk_memo_hits_total",
-                help="batch walks replayed from the steady-state memo",
-            ).add(memo.hits)
-            registry.counter(
-                "repro_memsim_walk_memo_misses_total",
-                help="batch walks with no usable memo entry",
-            ).add(memo.misses)
-            registry.counter(
-                "repro_memsim_walk_memo_stale_total",
-                help="memo entries invalidated by a pre-state mismatch",
-            ).add(memo.stale)
         registry.counter(
             "repro_memsim_prefetch_issued_total",
             help="L2 streamer prefetches issued",

@@ -34,8 +34,9 @@ class _UnitLatencySampler(SamplingEngine):
     def observe_batch(self, batch, latencies) -> None:
         # Degrade the whole column before the batched engine slices
         # samples out of it, mirroring the per-access override above.
-        # The vector walk hands an ndarray: degrade to plain floats so
-        # stored samples match the scalar path byte for byte.
+        # The walk kernel hands an array('d') or ndarray: degrade to
+        # plain floats so stored samples match the scalar path byte for
+        # byte.
         to_list = getattr(latencies, "tolist", None)
         if to_list is not None:
             latencies = to_list()

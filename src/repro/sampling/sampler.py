@@ -151,9 +151,9 @@ class SamplingEngine:
             self.total_accesses += n
             return
         if self.min_latency > 0.0:
-            # The latency column is a list (scalar walk) or a float64
-            # ndarray (vector walk); .min() keeps the ndarray probe off
-            # the per-element Python path.
+            # The latency column is a list (Python walk), or the walk
+            # kernel's array('d') or float64 ndarray; .min() keeps the
+            # ndarray probe off the per-element Python path.
             lowest = (
                 latencies.min() if hasattr(latencies, "min")
                 else min(latencies)

@@ -219,6 +219,16 @@ def _throughput(entry: Dict[str, object]) -> float:
         return 0.0
 
 
+def _walk(entry: Dict[str, object]) -> str:
+    """Which cache walk a bench ran: ``kernel`` (compiled), ``python``,
+    or ``-`` for entries recorded before payloads carried
+    ``walk_kernel``."""
+    state = entry.get("bench", {}).get("walk_kernel")
+    if not isinstance(state, dict):
+        return "-"
+    return "kernel" if state.get("status") == "compiled" else "python"
+
+
 def render_trend(
     entries: Sequence[Dict[str, object]], *, history_dir: PathLike = ""
 ) -> str:
@@ -233,7 +243,7 @@ def render_trend(
     )
     header = (
         f"{'id':14s} {'stamp':15s} {'git':9s} {'quick':5s} "
-        f"{'acc/s':>12s} {'speedup':>7s}"
+        f"{'acc/s':>12s} {'speedup':>7s} {'walk':6s}"
         + "".join(f" {stage:>10s}" for stage in STAGES)
     )
     lines.append(header)
@@ -251,7 +261,8 @@ def render_trend(
             f"{str(entry.get('git_sha') or '-'):9s} "
             f"{'yes' if entry.get('quick') else 'no':5s} "
             f"{_throughput(entry):>12,.0f} "
-            f"{speedup:>6.2f}x"
+            f"{speedup:>6.2f}x "
+            f"{_walk(entry):6s}"
         )
         for stage in STAGES:
             seconds = stages.get(stage, {}).get("batched")

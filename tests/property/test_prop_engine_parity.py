@@ -126,16 +126,11 @@ def sampler_state(sampler):
     )
 
 
-def run_pipeline(bound, num_threads, batched, make_sampler,
-                 config=None, vector_min=None):
+def run_pipeline(bound, num_threads, batched, make_sampler, config=None):
     interp = Interpreter(bound, num_threads=num_threads)
     trace = interp.run_batched() if batched else interp.run()
     sampler = make_sampler()
     hierarchy = MemoryHierarchy(config or HierarchyConfig(), num_threads)
-    if vector_min is not None:
-        # Force (1) or forbid (huge) promotion to the vector walk so
-        # both representations run under the property.
-        hierarchy.VECTOR_MIN_BATCH = vector_min
     metrics = simulate(trace, hierarchy=hierarchy, observer=sampler.observe)
     levels = [hierarchy.l3] + [
         cache for core in hierarchy.cores for cache in (core.l1, core.l2)
@@ -190,10 +185,9 @@ class TestConfigParity:
 
     Every machine batches, including multi-core, coherence, prefetch,
     TLB, and every replacement policy; each combination must stay
-    byte-identical to the scalar walk, whichever internal path it takes
-    (vector tag-array walk, inlined list walk, or the chunked general
-    loop). ``vector_min`` forces promotion at batch length 1 or forbids
-    it entirely, so both cache representations run under the property.
+    byte-identical to the scalar walk, whichever path it takes (the
+    compiled walk kernel for LRU/FIFO, the Python general loop for
+    random replacement or when no kernel could be built).
     """
 
     @given(
@@ -206,12 +200,10 @@ class TestConfigParity:
         ),
         st.sampled_from(["lru", "fifo", "random"]),
         st.booleans(),
-        st.sampled_from([1, 1 << 30]),
     )
     @settings(deadline=None, max_examples=40)
     def test_every_configuration_is_batch_exact(
         self, body, num_threads, degree, tlb, replacement, small_geom,
-        vector_min,
     ):
         bound = build(body)
         base = HierarchyConfig.small() if small_geom else HierarchyConfig()
@@ -225,5 +217,5 @@ class TestConfigParity:
         scalar = run_pipeline(bound, num_threads, False, make_sampler,
                               config=config)
         batched = run_pipeline(bound, num_threads, True, make_sampler,
-                               config=config, vector_min=vector_min)
+                               config=config)
         assert scalar == batched

@@ -15,6 +15,7 @@ import pytest
 from repro.layout import INT, StructType
 from repro.experiments.bench import check_regression, write_bench
 from repro.memsim.engine import simulate
+from repro.memsim import kernel
 from repro.memsim.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.memsim.tlb import TLBConfig
 from repro.profiler.monitor import Monitor
@@ -133,7 +134,7 @@ class TestHierarchyBatch:
         ]
         hierarchy = MemoryHierarchy(config, 1)
         got = hierarchy.access_batch(self.ADDRESSES, sizes)
-        assert got == expected
+        assert list(got) == expected
         for mine, theirs in zip(
             (hierarchy.l3, hierarchy.cores[0].l1, hierarchy.cores[0].l2),
             (reference.l3, reference.cores[0].l1, reference.cores[0].l2),
@@ -154,7 +155,7 @@ class TestHierarchyBatch:
             reference.access(0, a, s, False) for a, s in zip(addresses, sizes)
         ]
         hierarchy = MemoryHierarchy(config, 1)
-        assert hierarchy.access_batch(addresses, sizes) == expected
+        assert list(hierarchy.access_batch(addresses, sizes)) == expected
         assert hierarchy.dram_accesses == reference.dram_accesses
 
     def run_general_parity(self, config, num_cores):
@@ -170,7 +171,7 @@ class TestHierarchyBatch:
         ]
         hierarchy = MemoryHierarchy(config, num_cores)
         got = hierarchy.access_batch(addresses, sizes, writes, threads)
-        assert got == expected
+        assert list(got) == expected
         assert hierarchy.miss_summary() == reference.miss_summary()
 
     def test_batch_covers_multicore_coherence(self):
@@ -188,17 +189,56 @@ class TestHierarchyBatch:
         self.run_general_parity(config, 1)
 
 
-class TestVectorWalk:
-    """The numpy tag-array walk on large simple-config batches."""
+class TestColumnSums:
+    """The engine sums a kernel column order-free only when every
+    latency component is an integer; otherwise it must walk the column
+    in trace order, bit for bit the scalar accumulation."""
 
-    def make(self, policy="lru", vector_min=1):
-        hier = MemoryHierarchy(HierarchyConfig(replacement=policy), 1)
-        hier.VECTOR_MIN_BATCH = vector_min
-        return hier
+    def run(self, batched, config, num_threads, c2c=None):
+        builder = WorkloadBuilder("unit")
+        builder.add_aos(ELEM, ELEMENTS, name="A")
+        loop = Loop(line=1, var="i", start=0, stop=3000, end_line=3,
+                    parallel=True,
+                    body=[Access(line=2, array="A", field="x",
+                                 index=Mod(affine("i", 7, 3), ELEMENTS),
+                                 is_write=True)])
+        bound = builder.build([Function("main", [loop])])
+        hierarchy = MemoryHierarchy(config, num_threads)
+        if c2c is not None:
+            hierarchy.directory.c2c_latency = c2c
+            hierarchy.directory.upgrade_latency = c2c / 3
+        interp = Interpreter(bound, num_threads=num_threads)
+        trace = interp.run_batched() if batched else interp.run()
+        return simulate(trace, hierarchy=hierarchy)
+
+    @pytest.mark.parametrize("l2_latency, walk_latency",
+                             [(7.0, 30.0), (7.1, 30.3)])
+    def test_fractional_tlb_latency_matches_scalar_engine(
+        self, l2_latency, walk_latency
+    ):
+        config = HierarchyConfig(
+            tlb=TLBConfig(page_size=64, l1_entries=1, l1_ways=1,
+                          l2_entries=2, l2_ways=1, walk_latency=walk_latency,
+                          l2_latency=l2_latency),
+        )
+        assert self.run(True, config, 1) == self.run(False, config, 1)
+
+    def test_fractional_coherence_latency_matches_scalar_engine(self):
+        config = HierarchyConfig()
+        assert self.run(True, config, 2, c2c=40.3) == (
+            self.run(False, config, 2, c2c=40.3)
+        )
+
+
+class TestVectorWalk:
+    """The compiled walk kernel on column batches (see memsim.kernel)."""
+
+    def make(self, policy="lru"):
+        return MemoryHierarchy(HierarchyConfig(replacement=policy), 1)
 
     def columns(self):
-        # Hits, conflict evictions, duplicate missing lines in one
-        # batch (unsafe replay), and line-crossing splits.
+        # Hits, conflict evictions, the same missing lines twice in one
+        # batch, and line-crossing splits.
         config = HierarchyConfig()
         line = config.line_size
         addresses = (
@@ -213,8 +253,8 @@ class TestVectorWalk:
 
     @pytest.mark.parametrize("policy", ["lru", "fifo"])
     def test_vector_walk_matches_scalar(self, policy):
-        vectorwalk = pytest.importorskip("repro.memsim.vectorwalk")
-        assert vectorwalk.HAVE_NUMPY
+        if kernel.load() is None:
+            pytest.skip(kernel.describe())
         addresses, sizes = self.columns()
         reference = MemoryHierarchy(HierarchyConfig(replacement=policy), 1)
         expected = [
@@ -223,7 +263,7 @@ class TestVectorWalk:
         ]
         hierarchy = self.make(policy)
         got = hierarchy.access_batch(addresses, sizes)
-        assert hierarchy._vector_state == 1
+        assert hierarchy._kernel is not None
         assert list(got) == expected
         for mine, theirs in zip(
             (hierarchy.l3, hierarchy.cores[0].l1, hierarchy.cores[0].l2),
@@ -232,10 +272,10 @@ class TestVectorWalk:
             assert (mine.hits, mine.misses, mine.evictions) == (
                 theirs.hits, theirs.misses, theirs.evictions
             )
+            assert mine.resident_lines() == theirs.resident_lines()
         assert hierarchy.dram_accesses == reference.dram_accesses
 
     def test_sequential_batches_share_state(self):
-        pytest.importorskip("repro.memsim.vectorwalk")
         addresses, sizes = self.columns()
         reference = MemoryHierarchy(HierarchyConfig(), 1)
         hierarchy = self.make()
@@ -250,9 +290,8 @@ class TestVectorWalk:
         assert hierarchy.l3.hits == reference.l3.hits
 
     def test_scalar_access_works_after_promotion(self):
-        # A promoted hierarchy must still serve per-access calls (the
-        # tag arrays implement the scalar protocol too).
-        pytest.importorskip("repro.memsim.vectorwalk")
+        # A promoted hierarchy serves per-access calls through the
+        # kernel too, so the state never splits into two copies.
         addresses, sizes = self.columns()
         reference = MemoryHierarchy(HierarchyConfig(), 1)
         hierarchy = self.make()
@@ -260,13 +299,52 @@ class TestVectorWalk:
             reference.access(0, a, s, False)
             for a, s in zip(addresses, sizes)
         ]
-        assert hierarchy.access(0, 12345, 4, False) == reference.access(
-            0, 12345, 4, False
+        for address in (12345, 0, 4096, 64 * 640):
+            assert hierarchy.access(0, address, 4, False) == (
+                reference.access(0, address, 4, False)
+            )
+        assert hierarchy.miss_summary() == reference.miss_summary()
+        with pytest.raises(IndexError):
+            hierarchy.access(1, 0, 4, False)
+
+    def test_scalar_accesses_before_the_first_batch_carry_over(self):
+        # A trace that opens with scalar accesses (a loop too short to
+        # batch) still moves onto the kernel at its first batch, taking
+        # the caches, directory, prefetcher and TLB state along.
+        if kernel.load() is None:
+            pytest.skip(kernel.describe())
+        builder = WorkloadBuilder("unit")
+        builder.add_aos(ELEM, 4096, name="A")
+        loops = [
+            Loop(line=line, var="i", start=0, stop=stop, end_line=line + 1,
+                 parallel=True,
+                 body=[Access(line=line, array="A", field="x",
+                              index=Mod(affine("i", 17, 5), 4096),
+                              is_write=True)])
+            for line, stop in ((1, MIN_BATCH_TRIPS - 1), (3, 6000))
+        ]
+        bound = builder.build([Function("main", loops)])
+        config = HierarchyConfig(
+            prefetch_degree=2,
+            tlb=TLBConfig(l1_entries=8, l1_ways=4, l2_entries=16, l2_ways=4),
         )
+        runs = []
+        for batched in (True, False):
+            interp = Interpreter(bound, num_threads=4)
+            trace = list(interp.run_batched() if batched else interp.run())
+            hierarchy = MemoryHierarchy(config, 4)
+            runs.append((simulate(trace, hierarchy=hierarchy),
+                         hierarchy.miss_summary(),
+                         list(hierarchy.line_invalidations().items())))
+            if batched:
+                assert not isinstance(trace[0], AccessBatch)
+                assert any(isinstance(i, AccessBatch) for i in trace)
+                assert hierarchy._kernel is not None
+        assert runs[0] == runs[1]
 
     def test_random_policy_never_promotes(self):
-        # Random replacement replays an RNG stream whose draw order the
-        # vector walk cannot reproduce: it must stay on the list walk.
+        # Random replacement replays an RNG stream the kernel does not
+        # have: it must stay on the Python walk.
         addresses, sizes = self.columns()
         hierarchy = self.make("random")
         reference = MemoryHierarchy(HierarchyConfig(replacement="random"), 1)
@@ -275,7 +353,7 @@ class TestVectorWalk:
             for a, s in zip(addresses, sizes)
         ]
         assert hierarchy.access_batch(addresses, sizes) == expected
-        assert hierarchy._vector_state == 0
+        assert hierarchy._kernel is None
 
 
 class TestSamplerBatch:

@@ -147,6 +147,17 @@ class TestTrend:
         for entry in entries:
             assert str(entry["id"])[:12] in text
 
+    def test_render_trend_names_the_walk(self):
+        compiled = make_bench("20260101T000000")
+        compiled["walk_kernel"] = {"status": "compiled", "detail": "walk.so"}
+        fallback = make_bench("20260102T000000", e2e=2.0)
+        fallback["walk_kernel"] = {"status": "unavailable", "detail": "no cc"}
+        legacy = make_bench("20260103T000000", e2e=3.0)
+        rows = history.render_trend(
+            [history.make_entry(b) for b in (compiled, fallback, legacy)]
+        ).splitlines()[3:]
+        assert [row.split()[6] for row in rows] == ["kernel", "python", "-"]
+
     def test_render_trend_empty_store(self):
         assert "no snapshots" in history.render_trend([], history_dir="h")
 
