@@ -7,9 +7,8 @@ passes ``slots=True`` where available and degrades to a plain dataclass
 on 3.9 — same API, just without the memory savings there.
 
 :func:`effective_cpu_count` is the one place that answers "how many
-CPUs may this process actually use": every auto-parallelism gate (the
-pipeline's ``auto`` mode, the runner pool default) goes through it
-rather than ``os.cpu_count()``.
+CPUs may this process actually use": the runner pool's default size
+(``--jobs 0``) goes through it rather than ``os.cpu_count()``.
 """
 
 from __future__ import annotations

@@ -53,20 +53,22 @@ workload/config pairs execute nothing and print byte-identical
 output).  Both are handled by :mod:`repro.runner`; a summary line with
 the hit/miss/execution counts goes to stderr.
 
-``analyze``, ``optimize``, ``table3``, ``sensitivity``, and ``bench``
-additionally accept ``--pipeline {off,on,auto}`` (run the interpret
-stage on a producer thread overlapped with simulate/sample — see
-docs/performance.md; byte-identical output in every mode) and
-``--trace-store DIR`` (content-addressed on-disk trace store:
-interpret once, replay on every later run with the same key — the
-warm-run skip counts ride the stderr stats line).  ``repro cache
---stats`` reports on both content-addressed stores.
+Every run feeds the interpreter's item stream straight into the cache
+simulator, in one thread, with nothing on disk; ``--engine`` is the
+only performance switch.  ``repro cache --stats --cache DIR`` reports
+on the result cache.
+
+Numeric options are validated at parse time: a sampling period, trial
+count or ``--periods`` entry below 1, a non-positive ``--scale`` or
+``--deadline``, a negative ``--jobs`` or a ``--tolerance`` outside
+[0, 1) is a usage error (exit status 2).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from typing import List, Optional
@@ -81,9 +83,45 @@ from .workloads import TABLE2_WORKLOADS, RegroupingWorkload, workload_zoo
 _ZOO = workload_zoo()
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type: an integer >= 1 (periods, trial counts)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _non_negative(text: str) -> int:
+    """argparse type: an integer >= 0 (``--jobs``; 0 = one per CPU)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+def _positive(text: str) -> float:
+    """argparse type: a finite float > 0 (scales, deadlines)."""
+    value = float(text)
+    if not (0.0 < value < math.inf):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number above 0, got {text}"
+        )
+    return value
+
+
+def _fraction(text: str) -> float:
+    """argparse type: a float in [0, 1) (``--tolerance``)."""
+    value = float(text)
+    if not (0.0 <= value < 1.0):
+        raise argparse.ArgumentTypeError(
+            f"must be at least 0 and below 1, got {text}"
+        )
+    return value
+
+
 def _add_runner_args(parser: argparse.ArgumentParser) -> None:
     """``--jobs``/``--cache``: the parallel-runner knobs."""
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+    parser.add_argument("--jobs", type=_non_negative, default=1, metavar="N",
                         help="run independent workloads on N worker "
                              "processes (default: 1, serial; 0 = one "
                              "per effective CPU)")
@@ -109,7 +147,7 @@ def _add_observability_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--live", metavar="FILE", default=None,
                         help="append every live event to FILE as JSONL "
                              "(tail-able while the run is in flight)")
-    parser.add_argument("--deadline", type=float, metavar="SECONDS",
+    parser.add_argument("--deadline", type=_positive, metavar="SECONDS",
                         default=None,
                         help="abort (exit 124) after SECONDS, dumping the "
                              "flight recorder — the CI hang-killer")
@@ -128,22 +166,6 @@ def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
                              "path); output is byte-identical")
 
 
-def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
-    """``--pipeline``/``--trace-store``: the streaming-engine knobs."""
-    parser.add_argument("--pipeline", choices=["off", "on", "auto"],
-                        default="off",
-                        help="overlap the interpret stage with "
-                             "simulate/sample on a producer thread "
-                             "('auto': only with >1 CPU); output is "
-                             "byte-identical in every mode")
-    parser.add_argument("--trace-store", metavar="DIR", dest="trace_store",
-                        default=None,
-                        help="content-addressed on-disk trace store: "
-                             "interpret each (program, layout, threads) "
-                             "once, replay the stored trace on every "
-                             "later run with the same key")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -159,8 +181,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=text)
         p.add_argument("workload", choices=sorted(_ZOO))
-        p.add_argument("--scale", type=float, default=1.0)
-        p.add_argument("--period", type=int, default=None,
+        p.add_argument("--scale", type=_positive, default=1.0)
+        p.add_argument("--period", type=_at_least_one, default=None,
                        help="sampling period (default: workload-recommended)")
         p.add_argument("--out", type=str, default=None,
                        help="write the full analysis package (report, dot "
@@ -168,7 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--telemetry", metavar="DIR", default=None,
                        help="record spans/metrics and export them to DIR")
         _add_engine_arg(p)
-        _add_pipeline_args(p)
         _add_observability_args(p)
         if name == "optimize":
             _add_runner_args(p)
@@ -194,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("workload",
                    choices=sorted(_ZOO) + ["nbody-soa", "all"],
                    help="a workload name, or 'all' for every bundled one")
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_positive, default=1.0)
     p.add_argument("--strict", action="store_true",
                    help="treat warnings as errors")
     p.add_argument("--format", choices=["text", "json"], default="text",
@@ -213,19 +234,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("workload", nargs="?", default="all",
                    choices=sorted(_ZOO) + ["all"],
                    help="a zoo workload, or 'all' (default)")
-    p.add_argument("--scale", type=float, default=0.1)
+    p.add_argument("--scale", type=_positive, default=0.1)
 
     p = sub.add_parser("regroup", help="array-regrouping extension demo")
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_positive, default=1.0)
 
     p = sub.add_parser("table3", help="regenerate Tables 3 and 4")
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_positive, default=1.0)
     p.add_argument("--telemetry", metavar="DIR", default=None,
                    help="record spans/metrics and export them to DIR")
     p.add_argument("--json", action="store_true",
                    help="print machine-readable JSON instead of the tables")
     _add_engine_arg(p)
-    _add_pipeline_args(p)
     _add_runner_args(p)
     _add_observability_args(p)
 
@@ -254,10 +274,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         "batched end-to-end throughput regressed beyond "
                         "--tolerance (failures include per-stage "
                         "attribution)")
-    p.add_argument("--tolerance", type=float, default=0.25,
+    p.add_argument("--tolerance", type=_fraction, default=0.25,
                    help="allowed fractional throughput regression for "
                         "--check (default: 0.25)")
-    _add_pipeline_args(p)
     _add_observability_args(p)
 
     p = sub.add_parser(
@@ -299,8 +318,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("workload",
                    help="a Table 2 workload, full name or alias (e.g. 'art')")
-    p.add_argument("--scale", type=float, default=0.5)
-    p.add_argument("--period", type=int, default=None)
+    p.add_argument("--scale", type=_positive, default=0.5)
+    p.add_argument("--period", type=_at_least_one, default=None)
     p.add_argument("--telemetry", metavar="DIR", default="telemetry",
                    help="output directory (default: ./telemetry)")
 
@@ -312,13 +331,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("workload", nargs="?", default="462.libquantum",
                    help="a Table 2 workload, full name or alias "
                         "(default: 462.libquantum)")
-    p.add_argument("--scale", type=float, default=0.2)
-    p.add_argument("--period", type=int, default=None)
+    p.add_argument("--scale", type=_positive, default=0.2)
+    p.add_argument("--period", type=_at_least_one, default=None)
     p.add_argument("--telemetry", metavar="DIR", default=None,
                    help="also export the snapshot files to DIR")
 
     p = sub.add_parser("art", help="regenerate Tables 5/6 and Figure 6")
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_positive, default=1.0)
     p.add_argument("--dot", type=str, default=None,
                    help="write the affinity graph to this file")
 
@@ -328,39 +347,34 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_observability_args(p)
 
     p = sub.add_parser("accuracy", help="regenerate the Eq 4 study")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_at_least_one, default=1000)
 
     p = sub.add_parser("views", help="code- and data-centric profile views")
     p.add_argument("workload", choices=sorted(TABLE2_WORKLOADS))
-    p.add_argument("--scale", type=float, default=0.5)
-    p.add_argument("--period", type=int, default=None)
+    p.add_argument("--scale", type=_positive, default=0.5)
+    p.add_argument("--period", type=_at_least_one, default=None)
 
     p = sub.add_parser("sensitivity",
                        help="sampling-period sweep: advice quality vs cost")
     p.add_argument("workload", choices=sorted(TABLE2_WORKLOADS))
-    p.add_argument("--scale", type=float, default=0.5)
-    p.add_argument("--periods", type=int, nargs="+",
+    p.add_argument("--scale", type=_positive, default=0.5)
+    p.add_argument("--periods", type=_at_least_one, nargs="+",
                    default=[127, 509, 2003, 8009, 32003])
-    _add_pipeline_args(p)
     _add_runner_args(p)
     _add_observability_args(p)
 
     p = sub.add_parser(
         "cache",
-        help="statistics for the content-addressed stores: the runner's "
-             "result cache and the interpret-once trace store",
+        help="statistics for the runner's content-addressed result cache",
     )
     p.add_argument("--stats", action="store_true",
                    help="print entry counts, byte totals, and budgets "
                         "(the default and only action)")
     p.add_argument("--cache", metavar="DIR", default=None,
                    help="result-cache directory to report on")
-    p.add_argument("--trace-store", metavar="DIR", dest="trace_store",
-                   default=None,
-                   help="trace-store directory to report on")
 
     p = sub.add_parser("summary", help="regenerate the complete evaluation")
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_positive, default=1.0)
     p.add_argument("--no-suites", action="store_true",
                    help="skip the Figure 4/5 suite sweeps")
     _add_runner_args(p)
@@ -370,11 +384,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _monitored_run(args):
     workload = _ZOO[args.workload](scale=args.scale)
-    period = args.period or workload.recommended_period
+    period = args.period
+    if period is None:
+        period = workload.recommended_period
     monitor = Monitor(sampling_period=period,
-                      engine=getattr(args, "engine", "batched"),
-                      pipeline=getattr(args, "pipeline", "off"),
-                      trace_store=getattr(args, "trace_store", None))
+                      engine=getattr(args, "engine", "batched"))
     bound = workload.build_original()
     run = monitor.run(bound, num_threads=workload.num_threads)
     return workload, monitor, run, bound
@@ -477,75 +491,25 @@ def _runner_stats(args):
     return None
 
 
-def _pipeline_params(args, params: dict) -> dict:
-    """Fold non-default ``--pipeline``/``--trace-store`` into task params.
-
-    Defaults are omitted so existing result-cache keys are untouched by
-    the flags' existence.
-    """
-    pipeline = getattr(args, "pipeline", "off")
-    if pipeline != "off":
-        params["pipeline"] = pipeline
-    trace_store = getattr(args, "trace_store", None)
-    if trace_store:
-        params["trace_store"] = str(trace_store)
-    return params
-
-
-def _trace_store_summary(args):
-    """(summary line, counters) for this process's trace-store activity,
-    or (None, None) when no ``--trace-store`` was in play or nothing
-    happened."""
-    if not getattr(args, "trace_store", None):
-        return None, None
-    from .program.store import session_counters
-
-    counters = session_counters()
-    if not (counters["replays"] or counters["captures"]):
-        return None, None
-    line = (
-        f"trace store: {counters['replays']} replay(s), "
-        f"{counters['captures']} capture(s), "
-        f"{counters['interpret_skipped']:,} accesses interpret-skipped"
-    )
-    if counters["errors"]:
-        line += f", {counters['errors']} damaged file(s) re-interpreted"
-    return line, counters
-
-
-def _print_runner_stats(stats, args=None) -> None:
+def _print_runner_stats(stats, args) -> None:
     """One stderr line with the runner's hit/miss/execution counts.
 
     stderr so machine-readable stdout (``--json``) stays clean and cold
     vs warm runs diff clean; CI greps this line to prove a warm cache
     re-run executed nothing.  The line also rides the event bus (for
-    the JSONL stream / flight recorder) and honors ``--quiet``.  When a
-    trace store was in play its replay/capture counts ride the same
-    line — the warm-run proof that interpret work was skipped.
+    the JSONL stream / flight recorder) and honors ``--quiet``.
     """
-    trace_line, trace_counters = _trace_store_summary(args)
-    if stats is None and trace_line is None:
+    if stats is None:
         return
-    parts = []
-    if stats is not None:
-        parts.append(stats.describe())
-    if trace_line is not None:
-        parts.append(trace_line)
-    summary = "; ".join(parts)
+    summary = stats.describe()
     from .telemetry import events
 
     bus = events.bus()
     if bus.active:
         # The ProgressReporter subscriber relays the summary to stderr.
-        payload = {"summary": summary}
-        if stats is not None:
-            payload.update(tasks=stats.tasks, hits=stats.cache_hits,
-                           misses=stats.cache_misses, executed=stats.executed)
-        if trace_counters is not None:
-            payload.update(replays=trace_counters["replays"],
-                           captures=trace_counters["captures"],
-                           interpret_skipped=trace_counters["interpret_skipped"])
-        bus.publish("task-finish", kind="runner-stats", **payload)
+        bus.publish("task-finish", kind="runner-stats", summary=summary,
+                    tasks=stats.tasks, hits=stats.cache_hits,
+                    misses=stats.cache_misses, executed=stats.executed)
     elif not getattr(args, "quiet", False):
         print(summary, file=sys.stderr)
 
@@ -637,7 +601,6 @@ def _cmd_analyze(args, out) -> int:
         if check_result is not None:
             print(file=out)
             print(check_result.render(), file=out)
-    _print_runner_stats(None, args)
     if check_result is not None and not check_result.ok:
         return 1
     return 0
@@ -749,7 +712,6 @@ def _cmd_optimize(args, out) -> int:
             )
     print(report.render(), file=out)
     _maybe_write_package(args, report, workload, run, out)
-    _print_runner_stats(None, args)
     if safety is not None:
         print(file=out)
         for name in sorted(safety.verdicts):
@@ -784,7 +746,6 @@ def _cmd_optimize_via_runner(args, out) -> int:
     stats = _runner_stats(args)
     params = {"scale": args.scale, "period": args.period,
               "engine": getattr(args, "engine", "batched")}
-    _pipeline_params(args, params)
     spec = TaskSpec(
         kind="optimize-report",
         name=args.workload,
@@ -829,9 +790,7 @@ def _cmd_table3(args, out) -> int:
     with _telemetry_scope(args, out):
         results = run_all(scale=args.scale, jobs=args.jobs,
                           cache=args.cache, runner_stats=stats,
-                          engine=getattr(args, "engine", "batched"),
-                          pipeline=getattr(args, "pipeline", "off"),
-                          trace_store=getattr(args, "trace_store", None))
+                          engine=getattr(args, "engine", "batched"))
     _print_runner_stats(stats, args)
     if getattr(args, "json", False):
         _print_json(results_json(results), out)
@@ -852,9 +811,7 @@ def _cmd_bench(args, out) -> int:
         print(history.render_trend(entries, history_dir=args.history),
               file=out)
         return 0
-    result = run_bench(quick=args.quick,
-                       pipeline=getattr(args, "pipeline", "off"),
-                       trace_store=getattr(args, "trace_store", None))
+    result = run_bench(quick=args.quick)
     path, entry = history.record_entry(
         args.history, result, sha=history.git_sha()
     )
@@ -912,7 +869,9 @@ def _cmd_trace(args, out) -> int:
     if name is None:
         return _bad_workload(args.workload, out)
     workload = TABLE2_WORKLOADS[name](scale=args.scale)
-    period = args.period or workload.recommended_period
+    period = args.period
+    if period is None:
+        period = workload.recommended_period
     with telemetry.session() as session:
         result = optimize(workload, monitor=Monitor(sampling_period=period))
         paths = telemetry.write_telemetry(session, args.telemetry)
@@ -936,7 +895,9 @@ def _cmd_stats(args, out) -> int:
     if name is None:
         return _bad_workload(args.workload, out)
     workload = TABLE2_WORKLOADS[name](scale=args.scale)
-    period = args.period or workload.recommended_period
+    period = args.period
+    if period is None:
+        period = workload.recommended_period
     with telemetry.session() as session:
         result = optimize(workload, monitor=Monitor(sampling_period=period))
         print(telemetry.prometheus_text(session.metrics), file=out)
@@ -1009,8 +970,7 @@ def _cmd_sensitivity(args, out) -> int:
     workload = TABLE2_WORKLOADS[args.workload](scale=args.scale)
     points = sweep_sampling_period(
         workload, args.periods, jobs=args.jobs, cache=args.cache,
-        runner_stats=stats, pipeline=getattr(args, "pipeline", "off"),
-        trace_store=getattr(args, "trace_store", None),
+        runner_stats=stats,
     )
     _print_runner_stats(stats, args)
     print(sensitivity_table(workload.name, points).render(), file=out)
@@ -1018,27 +978,17 @@ def _cmd_sensitivity(args, out) -> int:
 
 
 def _cmd_cache(args, out) -> int:
-    """``repro cache --stats``: both content-addressed stores at a glance."""
-    if not args.cache and not args.trace_store:
-        print("nothing to report: pass --cache DIR and/or --trace-store DIR",
-              file=out)
+    """``repro cache --stats``: the result cache at a glance."""
+    if not args.cache:
+        print("nothing to report: pass --cache DIR", file=out)
         return 2
-    if args.cache:
-        from pathlib import Path
+    from pathlib import Path
 
-        directory = Path(args.cache)
-        entries = list(directory.glob("*.json")) if directory.is_dir() else []
-        total = sum(p.stat().st_size for p in entries)
-        print(f"result cache {directory}: {len(entries)} entries, "
-              f"{total:,} bytes", file=out)
-    if args.trace_store:
-        from .program.store import TraceStore
-
-        stats = TraceStore(args.trace_store).stats()
-        print(f"trace store {stats['root']}: {stats['entries']} traces, "
-              f"{stats['bytes']:,} bytes "
-              f"(budget {stats['max_bytes']:,}, LRU-evicted past it)",
-              file=out)
+    directory = Path(args.cache)
+    entries = list(directory.glob("*.json")) if directory.is_dir() else []
+    total = sum(p.stat().st_size for p in entries)
+    print(f"result cache {directory}: {len(entries)} entries, "
+          f"{total:,} bytes", file=out)
     return 0
 
 

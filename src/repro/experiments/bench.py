@@ -72,27 +72,8 @@ def run_bench(
     *,
     quick: bool = False,
     progress: Optional[Callable[[str], None]] = None,
-    pipeline: str = "off",
-    trace_store: Optional[str] = None,
 ) -> Dict[str, object]:
-    """Measure both engines and return the BENCH json payload.
-
-    ``pipeline`` runs the end-to-end measurement with the interpret
-    stage on a producer thread; ``trace_store`` routes it through the
-    interpret-once trace store (the first repeat captures, later ones
-    replay).  Either way the payload grows an ``end_to_end.pipeline``
-    rollup — per-stage busy and stall clocks plus the overlap estimate
-    — because once stages overlap, the isolated per-layer walls no
-    longer sum to the end-to-end wall and attribution must say so.
-    """
-    from ..engine import PipelineStats, pipelined, resolve_mode
-
-    pipe_on = resolve_mode(pipeline)
-    store = None
-    if trace_store is not None:
-        from ..program.store import TraceStore
-
-        store = TraceStore(trace_store)
+    """Measure both engines and return the BENCH json payload."""
     bus = events.bus()
 
     def say(message: str) -> None:
@@ -179,44 +160,18 @@ def run_bench(
 
     # -- end to end: interpret -> simulate -> sample ------------------------
     say("bench: end-to-end pipeline")
-    streamed_runs: List[Tuple[float, PipelineStats]] = []
 
     def end_to_end_run(batched: bool) -> int:
-        t0 = time.perf_counter()
         interp = interpreter()
-        stats = PipelineStats()
-        mode = "batched" if batched else "scalar"
-
-        def raw():
-            return interp.run_batched() if batched else interp.run()
-
-        if store is not None:
-            key = store.key_for(bound, workload.num_threads, mode=mode)
-            trace, replayed, header = store.fetch(key, raw)
-            if replayed:
-                stats.replayed = True
-                stats.interpret_skipped = int(header.get("accesses", 0))
-        else:
-            trace = raw()
-        if pipe_on:
-            trace = pipelined(trace, stats=stats)
+        trace = interp.run_batched() if batched else interp.run()
         metrics = simulate(
             trace, hierarchy=hierarchy(), observer=sampler().observe
         )
-        if batched and (pipe_on or store is not None):
-            streamed_runs.append((time.perf_counter() - t0, stats))
         return metrics.accesses
 
     end_to_end = _layer(
         repeats, lambda: end_to_end_run(False), lambda: end_to_end_run(True)
     )
-    if streamed_runs:
-        # The rollup of the best (fastest) batched repeat: per-stage
-        # busy/stall clocks and how much interpret work was hidden.
-        wall, stats = min(streamed_runs, key=lambda pair: pair[0])
-        rollup = stats.to_dict()
-        rollup["overlap_s"] = stats.overlap_seconds(wall)
-        end_to_end["pipeline"] = rollup
 
     return {
         "schema_version": SCHEMA_VERSION,

@@ -54,14 +54,11 @@ def run_benchmark(
     analyzer: Optional[OfflineAnalyzer] = None,
     seed: int = 0,
     engine: str = "batched",
-    pipeline: str = "off",
-    trace_store: Union[str, Path, None] = None,
 ) -> OptimizationResult:
     """One benchmark through the full profile->advise->split cycle."""
     workload = TABLE2_WORKLOADS[name](scale=scale)
     monitor = Monitor(
-        sampling_period=workload.recommended_period, seed=seed, engine=engine,
-        pipeline=pipeline, trace_store=trace_store,
+        sampling_period=workload.recommended_period, seed=seed, engine=engine
     )
     return optimize(workload, monitor=monitor, analyzer=analyzer)
 
@@ -121,8 +118,6 @@ def run_all(
     base_seed: int = 0,
     runner_stats=None,
     engine: str = "batched",
-    pipeline: str = "off",
-    trace_store: Union[str, Path, None] = None,
 ) -> Dict[str, object]:
     """All (or the named subset of) Table 2 benchmarks.
 
@@ -140,18 +135,13 @@ def run_all(
     if jobs <= 1 and cache is None:
         return {
             name: run_benchmark(
-                name, scale=scale, seed=base_seed + rank, engine=engine,
-                pipeline=pipeline, trace_store=trace_store,
+                name, scale=scale, seed=base_seed + rank, engine=engine
             )
             for rank, name in enumerate(chosen)
         }
     from ..runner import TaskSpec, derive_seed, run_tasks
 
     params: Dict[str, object] = {"scale": scale, "engine": engine}
-    if pipeline != "off":
-        params["pipeline"] = pipeline
-    if trace_store:
-        params["trace_store"] = str(trace_store)
     specs = [
         TaskSpec(
             kind="optimize",

@@ -53,8 +53,6 @@ def measure_period_point(
     analyzer: Optional[OfflineAnalyzer] = None,
     seed: int = 0,
     bound: Optional[BoundProgram] = None,
-    pipeline: str = "off",
-    trace_store: Union[str, Path, None] = None,
 ) -> PeriodPoint:
     """Run the full pipeline at one period and score the advice.
 
@@ -67,7 +65,7 @@ def measure_period_point(
     analyzer = analyzer or OfflineAnalyzer()
     bound = bound if bound is not None else workload.build_original()
     monitor = Monitor(sampling_period=period, deployment_period=None,
-                      seed=seed, pipeline=pipeline, trace_store=trace_store)
+                      seed=seed)
     run = monitor.run(bound, num_threads=workload.num_threads)
     report = analyzer.analyze(run)
     plans = derive_plans(report, workload.target_structs())
@@ -93,8 +91,6 @@ def sweep_sampling_period(
     jobs: int = 1,
     cache: Union[str, Path, None] = None,
     runner_stats=None,
-    pipeline: str = "off",
-    trace_store: Union[str, Path, None] = None,
 ) -> List[PeriodPoint]:
     """Run the full pipeline once per period and score the advice.
 
@@ -109,8 +105,7 @@ def sweep_sampling_period(
         bound = workload.build_original()
         return [
             measure_period_point(
-                workload, period, analyzer=analyzer, seed=seed, bound=bound,
-                pipeline=pipeline, trace_store=trace_store,
+                workload, period, analyzer=analyzer, seed=seed, bound=bound
             )
             for period in periods
         ]
@@ -122,16 +117,11 @@ def sweep_sampling_period(
             f"parallel/cached sweeps need a Table 2 workload name, "
             f"got {workload.name!r}"
         )
-    extra: Dict[str, object] = {}
-    if pipeline != "off":
-        extra["pipeline"] = pipeline
-    if trace_store:
-        extra["trace_store"] = str(trace_store)
     specs = [
         TaskSpec(
             kind="sensitivity-point",
             name=workload.name,
-            params={"scale": workload.scale, "period": period, **extra},
+            params={"scale": workload.scale, "period": period},
             seed=seed,
         )
         for period in periods

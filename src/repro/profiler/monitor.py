@@ -12,18 +12,16 @@ analyzer consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 from ..binary.linemap import LineMap
 from ..binary.loopmap import LoopMap
-from ..engine import PipelineStats, pipelined, resolve_mode
 from ..memsim.engine import CostModel, simulate
 from ..memsim.hierarchy import HierarchyConfig, MemoryHierarchy
 from ..memsim.stats import RunMetrics
 from ..program.builder import BoundProgram
 from ..program.interp import Interpreter
 from ..program.ir import Program
-from ..program.store import TraceStore
 from ..sampling.overhead import OverheadModel
 from ..sampling.pebs import PEBSLoadLatencySampler
 from ..sampling.sampler import SamplingEngine
@@ -81,8 +79,6 @@ class Monitor:
         cost_model: Optional[CostModel] = None,
         seed: int = 0,
         engine: str = "batched",
-        pipeline: str = "off",
-        trace_store: Union[str, TraceStore, None] = None,
     ) -> None:
         """``sampling_period`` is the period the *analysis* samples at;
         simulated traces are far shorter than real executions, so it is
@@ -92,19 +88,9 @@ class Monitor:
         None to price at the analysis period instead. ``engine``
         selects the trace execution mode: ``"batched"`` (default) runs
         the columnar fast path, ``"scalar"`` the one-object-per-access
-        reference path; results are identical by construction.
-
-        ``pipeline`` (``off``/``on``/``auto``) moves the interpret
-        stage onto a producer thread feeding simulate/sample through a
-        bounded queue (``auto``: only when a second CPU exists); chunk
-        order is preserved, so results stay byte-identical.
-        ``trace_store`` (a directory or :class:`TraceStore`) captures
-        the interpreter's item stream on first run and replays it on
-        every later run with the same content key, skipping
-        interpretation entirely."""
+        reference path; results are identical by construction."""
         if engine not in ("scalar", "batched"):
             raise ValueError(f"unknown engine {engine!r}")
-        resolve_mode(pipeline)  # validate early, before any run
         self.sampling_period = sampling_period
         self.deployment_period = deployment_period
         self.sampler_cls = sampler_cls
@@ -112,95 +98,9 @@ class Monitor:
         self.cost_model = cost_model or CostModel()
         self.seed = seed
         self.engine = engine
-        self.pipeline = pipeline
-        if trace_store is None or isinstance(trace_store, TraceStore):
-            self.trace_store = trace_store
-        else:
-            self.trace_store = TraceStore(trace_store)
-        #: Stats of the most recent run's item stream (always set, even
-        #: for serial runs: mode "off", zero clocks).
-        self.last_pipeline_stats: Optional[PipelineStats] = None
-        #: Cumulative trace-store outcomes across this monitor's runs.
-        self.replay_hits = 0
-        self.interpret_skipped = 0
 
     def _trace(self, interp: Interpreter):
         return interp.run_batched() if self.engine == "batched" else interp.run()
-
-    def _items(
-        self,
-        bound: BoundProgram,
-        interp: Interpreter,
-        num_threads: int,
-        stats: PipelineStats,
-    ):
-        """The simulate stage's item stream: replayed, captured, or
-        interpreted directly — optionally behind the producer thread."""
-        store = self.trace_store
-        if store is not None:
-            key = store.key_for(bound, num_threads, mode=self.engine)
-            items, replayed, header = store.fetch(
-                key, lambda: self._trace(interp)
-            )
-            if replayed:
-                stats.replayed = True
-                stats.interpret_skipped = int(header.get("accesses", 0))
-                self.replay_hits += 1
-                self.interpret_skipped += stats.interpret_skipped
-                bus = telemetry.events.bus()
-                if bus.active:
-                    bus.publish(
-                        "replay-hit",
-                        workload=bound.name,
-                        key=key[:12],
-                        items=header.get("items"),
-                        accesses=header.get("accesses"),
-                    )
-        else:
-            items = self._trace(interp)
-        if resolve_mode(self.pipeline):
-            items = pipelined(items, stats=stats)
-        return items
-
-    def _export_stream_metrics(self, registry, stats: PipelineStats) -> None:
-        """Trace-store / pipeline counters for the telemetry snapshot."""
-        if self.trace_store is not None:
-            registry.counter(
-                "repro_trace_store_replays_total",
-                help="runs whose item stream came from a trace-store replay",
-            ).inc(1 if stats.replayed else 0)
-            registry.counter(
-                "repro_trace_store_interpret_skipped_accesses_total",
-                help="accesses replayed instead of interpreted",
-            ).inc(stats.interpret_skipped)
-        if stats.mode != "off":
-            registry.counter(
-                "repro_pipeline_producer_busy_seconds_total",
-                help="interpret/replay time spent on the producer thread",
-            ).inc(stats.producer_busy_s)
-            registry.counter(
-                "repro_pipeline_stall_seconds_total",
-                help="cumulative time a pipeline stage blocked on the queue",
-                stage="interpret",
-            ).inc(stats.producer_stall_s)
-            registry.counter(
-                "repro_pipeline_stall_seconds_total",
-                help="cumulative time a pipeline stage blocked on the queue",
-                stage="simulate",
-            ).inc(stats.consumer_stall_s)
-
-    @staticmethod
-    def _set_pipeline_attrs(span, stats: PipelineStats) -> None:
-        if stats.mode == "off" and not stats.replayed:
-            return
-        span.set(
-            pipeline=stats.mode,
-            producer_busy_s=stats.producer_busy_s,
-            producer_stall_s=stats.producer_stall_s,
-            consumer_stall_s=stats.consumer_stall_s,
-            replayed=stats.replayed,
-            interpret_skipped=stats.interpret_skipped,
-        )
 
     def make_sampler(self) -> SamplingEngine:
         return self.sampler_cls(self.sampling_period, seed=self.seed)
@@ -219,8 +119,6 @@ class Monitor:
         sampler = self.make_sampler()
         pmu = getattr(sampler, "PMU_NAME", type(sampler).__name__)
         tracer = telemetry.tracer()
-        stats = PipelineStats()
-        self.last_pipeline_stats = stats
 
         with tracer.span(
             "run",
@@ -242,7 +140,7 @@ class Monitor:
 
             with tracer.span("simulate", workload=bound.name) as span:
                 metrics = simulate(
-                    self._items(bound, interp, num_threads, stats),
+                    self._trace(interp),
                     hierarchy=hierarchy,
                     cost=self.cost_model,
                     observer=sampler.observe,
@@ -250,7 +148,6 @@ class Monitor:
                     variant=bound.variant,
                 )
                 span.set(accesses=metrics.accesses, cycles=metrics.cycles)
-                self._set_pipeline_attrs(span, stats)
 
             # Price overhead at the deployment sampling period: the
             # analysis may sample densely (short simulated traces), but
@@ -336,7 +233,6 @@ class Monitor:
                 "repro_profiler_merge_tree_fan_in",
                 help="branching factor of the reduction-tree merge",
             ).set(merge_stats.fan_in)
-            self._export_stream_metrics(metrics_registry, stats)
             telemetry.record_overhead(account)
             telemetry.publish_metric_deltas(
                 metrics_registry, telemetry.events.bus(),
@@ -374,8 +270,6 @@ class Monitor:
         """Execute without any sampling (the baseline for overhead)."""
         cores = num_cores if num_cores is not None else num_threads
         hierarchy = MemoryHierarchy(config or HierarchyConfig(), cores)
-        stats = PipelineStats()
-        self.last_pipeline_stats = stats
         with telemetry.tracer().span(
             "simulate",
             workload=bound.name,
@@ -385,18 +279,16 @@ class Monitor:
         ) as span:
             interp = Interpreter(bound, num_threads=num_threads)
             metrics = simulate(
-                self._items(bound, interp, num_threads, stats),
+                self._trace(interp),
                 hierarchy=hierarchy,
                 cost=self.cost_model,
                 name=bound.name,
                 variant=bound.variant,
             )
             span.set(accesses=metrics.accesses, cycles=metrics.cycles)
-            self._set_pipeline_attrs(span, stats)
         if telemetry.enabled():
             registry = telemetry.metrics_registry()
             hierarchy.export_metrics(registry)
-            self._export_stream_metrics(registry, stats)
             telemetry.publish_metric_deltas(
                 registry, telemetry.events.bus(),
                 workload=bound.name, variant=bound.variant,

@@ -1,71 +1,25 @@
-"""Content-addressed on-disk trace store: interpret once, replay everywhere.
+"""The content address of an interpreter trace.
 
-A sensitivity sweep or ablation matrix runs the *same workload* against
-dozens of machine configurations, and today each point pays the full
-interpret cost just to regenerate an identical trace. The store closes
-that gap the way DINAMITE-style tools do: the first run captures the
-interpreter's item stream into a compressed columnar file keyed by a
-content hash of everything the trace depends on — the program IR, the
-concrete memory layout it is bound to, the thread count, and the engine
-version — and every later run with the same key replays the file
-instead of interpreting.
+:func:`trace_key` hashes everything the interpreter's item stream is a
+pure function of — the program IR, the concrete memory layout it is
+bound to, the thread count, the trace engine and its batching
+constants — into one sha256 hex digest. Two bound programs with the
+same key produce the same trace, so anything derived only from the
+trace (an unmonitored run's metrics on a fixed machine, say) can be
+cached under it. The module stays for that content address: the
+benchmark's re-run cache (``perfbench/cycles.py``) keys on it.
 
-Replay is byte-identical by construction: items are framed in stream
-order, batch frames preserve the exact column values (addresses raw,
-the per-round ``ip``/``size``/``write``/``line``/``thread`` patterns
-re-tiled exactly as :func:`repro.program.batch.assemble_batches` tiles
-them), and repeated batch objects (the interpreter's batch cache
-re-yields the same object for every repetition of a cached loop) are
-stored once and re-yielded as the same object, which also preserves the
-simulator's identity-based memoization behavior.
-
-File layout (this is the documented external trace format)::
-
-    magic  b"RPTRC1\\n"
-    u32    header length, big-endian
-    bytes  header JSON: key, workload, variant, num_threads, items,
-           accesses, chunks, format
-    chunk* framed chunks, each:
-             u8   kind  (B=batch, R=repeat, S=scalar run, C=compute run)
-             u32  payload length, big-endian
-             u32  crc32 of payload, big-endian
-             bytes payload
-
-Chunk payloads:
-
-- ``B``: ``meta JSON + b"\\n" + zlib(address column bytes)``. The meta
-  carries ``stmts_per_iter``, ``thread_order``, ``rounds``,
-  ``write_pattern``, ``context``, and the first-round
-  ``ip``/``size``/``write``/``line``/``thread`` patterns (``K * T``
-  entries each) from which the full columns are re-tiled.
-- ``R``: ``u32`` index of an earlier ``B`` chunk; replay re-yields that
-  decoded batch object.
-- ``S``: ``u32 count + zlib(7 concatenated int64 columns)`` for a run
-  of scalar ``MemoryAccess`` items (thread, ip, address, size,
-  is_write, line, context).
-- ``C``: ``u32 count + zlib(count * (i64 thread, f64 cycles))`` for a
-  run of ``ComputeBurst`` items.
-
-Any structural damage — bad magic, short read, CRC mismatch, malformed
-meta — raises :class:`TraceStoreError`; callers treat that as a miss
-and fall back to re-interpreting (the damaged file is deleted). The
-store enforces a byte budget with LRU eviction on file mtimes, which
-``replay`` refreshes.
+Keys must stay stable across releases, or such caches stop hitting:
+``TRACE_FORMAT`` and the ``engine`` entry are part of every key's
+description, so neither may change unless every key is meant to.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import struct
-import zlib
-from array import array
-from binascii import crc32
 from hashlib import sha256
-from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .batch import CHUNK_ROUNDS, MIN_BATCH_TRIPS, AccessBatch
+from .batch import CHUNK_ROUNDS, MIN_BATCH_TRIPS
 from .builder import BoundProgram
 from .ir import (
     Access,
@@ -79,61 +33,9 @@ from .ir import (
     Mod,
     PtrAccess,
 )
-from .trace import ComputeBurst, MemoryAccess, TraceItem
 
-#: Bumped whenever the stored item semantics change (new statement
-#: kinds, different batching rules); old files then simply miss.
+#: Part of every key's description; changing it changes every key.
 TRACE_FORMAT = 1
-
-MAGIC = b"RPTRC1\n"
-
-#: Default byte budget for a store directory (LRU-evicted past this).
-DEFAULT_MAX_BYTES = 1 << 30
-
-#: Scalar/compute items buffered per run before a chunk is flushed.
-RUN_FLUSH = 1 << 15
-
-_KIND_BATCH = 66  # B
-_KIND_REPEAT = 82  # R
-_KIND_SCALAR = 83  # S
-_KIND_COMPUTE = 67  # C
-
-_FRAME = struct.Struct(">BII")
-_U32 = struct.Struct(">I")
-
-#: Fixed header slot so totals can be patched in after the stream ends.
-_HEADER_PAD = 256
-
-
-class TraceStoreError(RuntimeError):
-    """A trace file is missing, truncated, or corrupt."""
-
-
-#: Process-wide counters aggregated across every :class:`TraceStore`
-#: instance, so the CLI's runner-stats line can report what the stores
-#: created inside task executors did.  (Workers in a jobs>1 pool keep
-#: their own copies; the stats line documents the in-process view.)
-_SESSION = {
-    "replays": 0,
-    "captures": 0,
-    "errors": 0,
-    "evicted": 0,
-    "interpret_skipped": 0,
-}
-
-
-def _bump(name: str, n: int = 1) -> None:
-    _SESSION[name] += n
-
-
-def session_counters() -> dict:
-    """Snapshot of this process's cumulative trace-store activity."""
-    return dict(_SESSION)
-
-
-# ---------------------------------------------------------------------------
-# Content addressing
-# ---------------------------------------------------------------------------
 
 
 def _describe_expr(expr) -> tuple:
@@ -237,459 +139,3 @@ def trace_key(
         separators=(",", ":"),
     )
     return sha256(desc.encode("utf-8")).hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# Chunk encoding
-# ---------------------------------------------------------------------------
-
-
-def _frame(kind: int, payload: bytes) -> bytes:
-    return _FRAME.pack(kind, len(payload), crc32(payload) & 0xFFFFFFFF) + payload
-
-
-def _encode_batch(batch: AccessBatch) -> bytes:
-    round_size = batch.stmts_per_iter * len(batch.thread_order)
-    meta = {
-        "stmts_per_iter": batch.stmts_per_iter,
-        "thread_order": list(batch.thread_order),
-        "rounds": batch.rounds,
-        "write_pattern": [1 if w else 0 for w in batch.write_pattern],
-        "context": batch.context[0] if len(batch.context) else 0,
-        "ip": list(batch.ip[:round_size]),
-        "size": list(batch.size[:round_size]),
-        "write": list(batch.is_write[:round_size]),
-        "line": list(batch.line[:round_size]),
-        "thread": list(batch.thread[:round_size]),
-    }
-    head = json.dumps(meta, separators=(",", ":")).encode("utf-8")
-    return head + b"\n" + zlib.compress(batch.address.tobytes(), 6)
-
-
-def _decode_batch(payload: bytes) -> AccessBatch:
-    try:
-        head, packed = payload.split(b"\n", 1)
-        meta = json.loads(head)
-        address = array("q")
-        address.frombytes(zlib.decompress(packed))
-        rounds = int(meta["rounds"])
-        round_size = len(meta["ip"])
-        if len(address) != rounds * round_size or round_size == 0:
-            raise TraceStoreError("batch chunk: column length mismatch")
-        return AccessBatch(
-            address=address,
-            ip=array("q", meta["ip"]) * rounds,
-            size=array("q", meta["size"]) * rounds,
-            is_write=array("q", meta["write"]) * rounds,
-            thread=array("q", meta["thread"]) * rounds,
-            line=array("q", meta["line"]) * rounds,
-            context=array("q", (int(meta["context"]),)) * (rounds * round_size),
-            stmts_per_iter=int(meta["stmts_per_iter"]),
-            thread_order=tuple(meta["thread_order"]),
-            rounds=rounds,
-            write_pattern=tuple(bool(w) for w in meta["write_pattern"]),
-        )
-    except TraceStoreError:
-        raise
-    except Exception as exc:  # malformed json/zlib/shape
-        raise TraceStoreError(f"batch chunk undecodable: {exc}") from exc
-
-
-def _encode_scalar_run(run: List[MemoryAccess]) -> bytes:
-    cols = [array("q") for _ in range(7)]
-    for acc in run:
-        cols[0].append(acc.thread)
-        cols[1].append(acc.ip)
-        cols[2].append(acc.address)
-        cols[3].append(acc.size)
-        cols[4].append(1 if acc.is_write else 0)
-        cols[5].append(acc.line)
-        cols[6].append(acc.context)
-    packed = zlib.compress(b"".join(c.tobytes() for c in cols), 6)
-    return _U32.pack(len(run)) + packed
-
-
-def _decode_scalar_run(payload: bytes) -> List[MemoryAccess]:
-    try:
-        (count,) = _U32.unpack_from(payload)
-        raw = zlib.decompress(payload[4:])
-        if len(raw) != count * 7 * 8:
-            raise TraceStoreError("scalar chunk: column length mismatch")
-        cols = []
-        for i in range(7):
-            col = array("q")
-            col.frombytes(raw[i * count * 8 : (i + 1) * count * 8])
-            cols.append(col)
-        return [
-            MemoryAccess(t, ip, addr, size, bool(w), line, ctx)
-            for t, ip, addr, size, w, line, ctx in zip(*cols)
-        ]
-    except TraceStoreError:
-        raise
-    except Exception as exc:
-        raise TraceStoreError(f"scalar chunk undecodable: {exc}") from exc
-
-
-def _encode_compute_run(run: List[ComputeBurst]) -> bytes:
-    packer = struct.Struct(">qd")
-    packed = zlib.compress(
-        b"".join(packer.pack(b.thread, b.cycles) for b in run), 6
-    )
-    return _U32.pack(len(run)) + packed
-
-
-def _decode_compute_run(payload: bytes) -> List[ComputeBurst]:
-    try:
-        (count,) = _U32.unpack_from(payload)
-        raw = zlib.decompress(payload[4:])
-        packer = struct.Struct(">qd")
-        if len(raw) != count * packer.size:
-            raise TraceStoreError("compute chunk: length mismatch")
-        return [
-            ComputeBurst(t, cycles)
-            for t, cycles in packer.iter_unpack(raw)
-        ]
-    except TraceStoreError:
-        raise
-    except Exception as exc:
-        raise TraceStoreError(f"compute chunk undecodable: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# The store
-# ---------------------------------------------------------------------------
-
-
-class TraceStore:
-    """Directory of captured traces with a byte budget and LRU eviction."""
-
-    def __init__(
-        self, root, *, max_bytes: int = DEFAULT_MAX_BYTES
-    ) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.max_bytes = max_bytes
-        # Session counters, surfaced on the runner stats line and in
-        # ``repro cache --stats``.
-        self.replays = 0
-        self.captures = 0
-        self.errors = 0
-        self.evicted = 0
-
-    # -- paths ---------------------------------------------------------------
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.trace"
-
-    def key_for(
-        self, bound: BoundProgram, num_threads: int, *, mode: str = "batched"
-    ) -> str:
-        return trace_key(bound, num_threads, mode=mode)
-
-    def has(self, key: str) -> bool:
-        return self._path(key).is_file()
-
-    # -- capture -------------------------------------------------------------
-
-    def capture(
-        self, key: str, items: Iterable[TraceItem]
-    ) -> Iterator[TraceItem]:
-        """Tee ``items`` through to the consumer while writing the file.
-
-        The file only becomes visible (atomic rename) when the stream is
-        fully consumed; an abandoned or failing capture leaves nothing
-        behind.
-        """
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-        seen_batches: Dict[int, Tuple[AccessBatch, int]] = {}
-        chunk_index = 0
-        items_n = 0
-        accesses = 0
-        pending_kind = 0
-        pending: list = []
-
-        def flush(fh) -> None:
-            nonlocal chunk_index, pending_kind
-            if not pending:
-                return
-            if pending_kind == _KIND_SCALAR:
-                fh.write(_frame(_KIND_SCALAR, _encode_scalar_run(pending)))
-            else:
-                fh.write(_frame(_KIND_COMPUTE, _encode_compute_run(pending)))
-            chunk_index += 1
-            pending.clear()
-            pending_kind = 0
-
-        try:
-            with open(tmp, "wb") as fh:
-                # Header written last (needs totals); reserve by writing
-                # a placeholder we rewrite on success.
-                fh.write(MAGIC)
-                header_pos = fh.tell()
-                fh.write(_U32.pack(0))
-                fh.write(b" " * _HEADER_PAD)
-                for item in items:
-                    items_n += 1
-                    if isinstance(item, AccessBatch):
-                        flush(fh)
-                        accesses += item.length
-                        prior = seen_batches.get(id(item))
-                        if prior is not None and prior[0] is item:
-                            fh.write(
-                                _frame(_KIND_REPEAT, _U32.pack(prior[1]))
-                            )
-                        else:
-                            seen_batches[id(item)] = (item, chunk_index)
-                            fh.write(_frame(_KIND_BATCH, _encode_batch(item)))
-                        chunk_index += 1
-                    elif isinstance(item, MemoryAccess):
-                        if pending_kind != _KIND_SCALAR:
-                            flush(fh)
-                            pending_kind = _KIND_SCALAR
-                        pending.append(item)
-                        accesses += 1
-                        if len(pending) >= RUN_FLUSH:
-                            flush(fh)
-                    elif isinstance(item, ComputeBurst):
-                        if pending_kind != _KIND_COMPUTE:
-                            flush(fh)
-                            pending_kind = _KIND_COMPUTE
-                        pending.append(item)
-                        if len(pending) >= RUN_FLUSH:
-                            flush(fh)
-                    else:
-                        raise TraceStoreError(
-                            f"uncapturable trace item {type(item).__name__}"
-                        )
-                    yield item
-                flush(fh)
-                header = json.dumps(
-                    {
-                        "key": key,
-                        "format": TRACE_FORMAT,
-                        "items": items_n,
-                        "accesses": accesses,
-                        "chunks": chunk_index,
-                    },
-                    separators=(",", ":"),
-                ).encode("utf-8")
-                if len(header) > _HEADER_PAD:
-                    raise TraceStoreError("header overflow")
-                fh.seek(header_pos)
-                fh.write(_U32.pack(len(header)))
-                fh.write(header)
-            os.replace(tmp, path)
-            self.captures += 1
-            _bump("captures")
-            self._enforce_budget()
-        finally:
-            if tmp.exists():
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
-
-    # -- replay --------------------------------------------------------------
-
-    def replay(self, key: str) -> Iterator[TraceItem]:
-        """Yield the stored item stream; :class:`TraceStoreError` on damage.
-
-        Damage detected mid-stream also raises — callers must either
-        fully consume or treat any exception as "re-interpret". Use
-        :meth:`fetch` for the fallback-wrapped form.
-        """
-        path = self._path(key)
-        try:
-            fh = open(path, "rb")
-        except OSError as exc:
-            raise TraceStoreError(f"no trace for {key}: {exc}") from exc
-        with fh:
-            magic = fh.read(len(MAGIC))
-            if magic != MAGIC:
-                raise TraceStoreError("bad magic")
-            raw = fh.read(4)
-            if len(raw) != 4:
-                raise TraceStoreError("truncated header length")
-            (hlen,) = _U32.unpack(raw)
-            if hlen > _HEADER_PAD:
-                raise TraceStoreError("oversized header")
-            head = fh.read(_HEADER_PAD)
-            if len(head) != _HEADER_PAD:
-                raise TraceStoreError("truncated header")
-            try:
-                header = json.loads(head[:hlen])
-            except Exception as exc:
-                raise TraceStoreError(f"bad header: {exc}") from exc
-            if header.get("format") != TRACE_FORMAT:
-                raise TraceStoreError(
-                    f"format {header.get('format')} != {TRACE_FORMAT}"
-                )
-            chunks = int(header.get("chunks", -1))
-            decoded: List[Optional[AccessBatch]] = []
-            for _ in range(chunks):
-                raw = fh.read(_FRAME.size)
-                if len(raw) != _FRAME.size:
-                    raise TraceStoreError("truncated chunk frame")
-                kind, length, crc = _FRAME.unpack(raw)
-                payload = fh.read(length)
-                if len(payload) != length:
-                    raise TraceStoreError("truncated chunk payload")
-                if crc32(payload) & 0xFFFFFFFF != crc:
-                    raise TraceStoreError("chunk crc mismatch")
-                if kind == _KIND_BATCH:
-                    batch = _decode_batch(payload)
-                    decoded.append(batch)
-                    yield batch
-                elif kind == _KIND_REPEAT:
-                    (idx,) = _U32.unpack(payload)
-                    if idx >= len(decoded) or decoded[idx] is None:
-                        raise TraceStoreError("repeat chunk: bad reference")
-                    batch = decoded[idx]
-                    decoded.append(None)
-                    yield batch
-                elif kind == _KIND_SCALAR:
-                    decoded.append(None)
-                    for acc in _decode_scalar_run(payload):
-                        yield acc
-                elif kind == _KIND_COMPUTE:
-                    decoded.append(None)
-                    for burst in _decode_compute_run(payload):
-                        yield burst
-                else:
-                    raise TraceStoreError(f"unknown chunk kind {kind}")
-            if fh.read(1):
-                raise TraceStoreError("trailing bytes after final chunk")
-        self.replays += 1
-        _bump("replays")
-        try:
-            os.utime(path)  # LRU touch
-        except OSError:
-            pass
-
-    def verify(self, key: str) -> dict:
-        """Walk the file's frames (sizes + CRCs, no decode); the header.
-
-        Cheap structural proof that :meth:`replay` will not fail
-        mid-stream — the per-chunk work is one ``crc32`` over the still-
-        compressed payload, so verification costs a small fraction of a
-        decode and nothing is held in memory.  Raises
-        :class:`TraceStoreError` on any damage.
-        """
-        path = self._path(key)
-        try:
-            fh = open(path, "rb")
-        except OSError as exc:
-            raise TraceStoreError(f"no trace for {key}: {exc}") from exc
-        with fh:
-            magic = fh.read(len(MAGIC))
-            if magic != MAGIC:
-                raise TraceStoreError("bad magic")
-            raw = fh.read(4)
-            if len(raw) != 4:
-                raise TraceStoreError("truncated header length")
-            (hlen,) = _U32.unpack(raw)
-            if hlen > _HEADER_PAD:
-                raise TraceStoreError("oversized header")
-            head = fh.read(_HEADER_PAD)
-            if len(head) != _HEADER_PAD:
-                raise TraceStoreError("truncated header")
-            try:
-                header = json.loads(head[:hlen])
-            except Exception as exc:
-                raise TraceStoreError(f"bad header: {exc}") from exc
-            if header.get("format") != TRACE_FORMAT:
-                raise TraceStoreError(
-                    f"format {header.get('format')} != {TRACE_FORMAT}"
-                )
-            for _ in range(int(header.get("chunks", -1))):
-                raw = fh.read(_FRAME.size)
-                if len(raw) != _FRAME.size:
-                    raise TraceStoreError("truncated chunk frame")
-                kind, length, crc = _FRAME.unpack(raw)
-                if kind not in (
-                    _KIND_BATCH, _KIND_REPEAT, _KIND_SCALAR, _KIND_COMPUTE
-                ):
-                    raise TraceStoreError(f"unknown chunk kind {kind}")
-                payload = fh.read(length)
-                if len(payload) != length:
-                    raise TraceStoreError("truncated chunk payload")
-                if crc32(payload) & 0xFFFFFFFF != crc:
-                    raise TraceStoreError("chunk crc mismatch")
-            if fh.read(1):
-                raise TraceStoreError("trailing bytes after final chunk")
-        return header
-
-    def fetch(
-        self, key: str, fallback  # fallback: () -> Iterable[TraceItem]
-    ) -> Tuple[Iterator[TraceItem], bool, Optional[dict]]:
-        """``(items, replayed, header)``: replay if possible, else capture.
-
-        On a hit the file is first structurally verified (:meth:`verify`
-        — frame sizes and CRCs, no decode), then a *streaming* replay
-        iterator and the parsed header come back, so a million-access
-        trace is never fully materialized.  A damaged file counts as an
-        error, is deleted, and the fallback interpreter stream is
-        captured instead (``header`` is then None: totals are unknown
-        until the stream completes).
-        """
-        if self.has(key):
-            try:
-                header = self.verify(key)
-            except TraceStoreError:
-                self.errors += 1
-                _bump("errors")
-                self.discard(key)
-            else:
-                _bump("interpret_skipped", int(header.get("accesses", 0)))
-                return self.replay(key), True, header
-        return self.capture(key, fallback()), False, None
-
-    # -- hygiene -------------------------------------------------------------
-
-    def discard(self, key: str) -> None:
-        try:
-            self._path(key).unlink()
-        except OSError:
-            pass
-
-    def _entries(self) -> List[Tuple[float, int, Path]]:
-        out = []
-        for path in self.root.glob("??/*.trace"):
-            try:
-                st = path.stat()
-            except OSError:
-                continue
-            out.append((st.st_mtime, st.st_size, path))
-        return out
-
-    def _enforce_budget(self) -> None:
-        entries = self._entries()
-        total = sum(size for _, size, _ in entries)
-        if total <= self.max_bytes:
-            return
-        entries.sort()  # oldest mtime first
-        for _, size, path in entries:
-            if total <= self.max_bytes:
-                break
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            self.evicted += 1
-            _bump("evicted")
-
-    def stats(self) -> dict:
-        entries = self._entries()
-        return {
-            "root": str(self.root),
-            "entries": len(entries),
-            "bytes": sum(size for _, size, _ in entries),
-            "max_bytes": self.max_bytes,
-            "replays": self.replays,
-            "captures": self.captures,
-            "errors": self.errors,
-            "evicted": self.evicted,
-        }

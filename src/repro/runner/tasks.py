@@ -88,14 +88,6 @@ def execute_task(spec: TaskSpec) -> object:
 # picklable under both fork and spawn.
 
 
-def _stream_params(spec: TaskSpec) -> Dict[str, object]:
-    """The optional streaming-engine knobs, absent from legacy specs."""
-    return {
-        "pipeline": str(spec.params.get("pipeline", "off")),
-        "trace_store": spec.params.get("trace_store"),
-    }
-
-
 def _optimize_task(spec: TaskSpec) -> object:
     """One Table 3 optimization cycle, summarized for the table builders."""
     from ..experiments.optimization import benchmark_record, run_benchmark
@@ -105,7 +97,6 @@ def _optimize_task(spec: TaskSpec) -> object:
         scale=float(spec.params.get("scale", 1.0)),
         seed=spec.seed,
         engine=str(spec.params.get("engine", "batched")),
-        **_stream_params(spec),
     )
     return benchmark_record(result)
 
@@ -119,12 +110,13 @@ def _optimize_report_task(spec: TaskSpec) -> object:
     workload = TABLE2_WORKLOADS[spec.name](
         scale=float(spec.params.get("scale", 1.0))
     )
-    period = spec.params.get("period") or workload.recommended_period
+    period = spec.params.get("period")
+    if period is None:
+        period = workload.recommended_period
     monitor = Monitor(
         sampling_period=int(period),
         seed=spec.seed,
         engine=str(spec.params.get("engine", "batched")),
-        **_stream_params(spec),
     )
     result = optimize(workload, monitor=monitor)
     return {
@@ -160,8 +152,7 @@ def _sensitivity_point_task(spec: TaskSpec) -> object:
         scale=float(spec.params.get("scale", 1.0))
     )
     point = measure_period_point(
-        workload, int(spec.params["period"]), seed=spec.seed,
-        **_stream_params(spec),
+        workload, int(spec.params["period"]), seed=spec.seed
     )
     return dataclasses.asdict(point)
 

@@ -105,12 +105,6 @@ def make_entry(
         "stages": stage_rollup(bench),
         "bench": bench,
     }
-    # Pipelined runs carry per-stage busy/stall clocks and the overlap
-    # estimate; lift them to the entry so attribution can correct for
-    # stage overlap.  Absent for serial runs (keeps legacy ids stable).
-    pipeline = (bench.get("end_to_end") or {}).get("pipeline")
-    if pipeline:
-        entry["pipeline"] = dict(pipeline)
     entry["id"] = entry_id(entry)
     return entry
 
@@ -311,14 +305,6 @@ class Attribution:
     engine: str
     deltas: List[StageDelta]
     end_to_end: Optional[StageDelta]
-    #: Set when either run was pipelined: isolated stage walls then no
-    #: longer sum to the end-to-end wall, and naive summing would
-    #: double-count the overlapped interpret time.
-    overlap_notes: List[str] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.overlap_notes is None:
-            self.overlap_notes = []
 
     @property
     def dominant(self) -> Optional[StageDelta]:
@@ -326,6 +312,17 @@ class Attribution:
         if not self.deltas:
             return None
         return self.deltas[0]
+
+    @property
+    def unexplained_seconds(self) -> Optional[float]:
+        """End-to-end delta minus the sum of the stage deltas: the part
+        of the change the isolated stage timings do not account for
+        (None without an end-to-end timing on both sides)."""
+        if self.end_to_end is None:
+            return None
+        return self.end_to_end.delta_seconds - sum(
+            d.delta_seconds for d in self.deltas
+        )
 
     def render(self) -> str:
         lines = [
@@ -343,36 +340,13 @@ class Attribution:
             lines.append(f"  {delta.render()}{marker}")
         if not self.deltas:
             lines.append("  (no per-stage timings in common)")
-        for note in self.overlap_notes:
-            lines.append(f"  note: {note}")
+        unexplained = self.unexplained_seconds
+        if unexplained is not None:
+            lines.append(
+                f"  {'unexplained':10s} {unexplained:+9.3f}s  "
+                f"(end-to-end delta minus the stage deltas)"
+            )
         return "\n".join(lines)
-
-
-def _overlap_note(label: str, entry: Dict[str, object]) -> Optional[str]:
-    """Describe a pipelined entry's busy/stall/overlap clocks, if any."""
-    pipeline = entry.get("pipeline") or (
-        (entry.get("bench", {}).get("end_to_end") or {}).get("pipeline")
-    )
-    if not pipeline:
-        return None
-    if pipeline.get("replayed"):
-        skipped = int(pipeline.get("interpret_skipped", 0))
-        return (
-            f"{label} replayed its trace from the store "
-            f"({skipped:,} accesses never interpreted); its interpret "
-            f"stage wall does not apply to the end-to-end run"
-        )
-    busy = float(pipeline.get("producer_busy_s", 0.0))
-    overlap = float(pipeline.get("overlap_s", 0.0))
-    p_stall = float(pipeline.get("producer_stall_s", 0.0))
-    c_stall = float(pipeline.get("consumer_stall_s", 0.0))
-    return (
-        f"{label} ran pipelined ({pipeline.get('mode', '?')}): interpret "
-        f"busy {busy:.3f}s with ~{overlap:.3f}s hidden under "
-        f"simulate/sample (stalls: producer {p_stall:.3f}s, consumer "
-        f"{c_stall:.3f}s); isolated stage walls sum to more than the "
-        f"end-to-end wall by the overlap"
-    )
 
 
 def _label(entry: Dict[str, object]) -> str:
@@ -403,17 +377,10 @@ def attribute(
     h = head_stages.get("end_to_end", {}).get(engine)
     if b is not None and h is not None:
         end_to_end = StageDelta("end_to_end", float(b), float(h))
-    notes = []
-    if engine == "batched":
-        for label, entry in (("base", base), ("head", head)):
-            note = _overlap_note(label, entry)
-            if note:
-                notes.append(note)
     return Attribution(
         base_id=_label(base),
         head_id=_label(head),
         engine=engine,
         deltas=deltas,
         end_to_end=end_to_end,
-        overlap_notes=notes,
     )

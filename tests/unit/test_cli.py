@@ -284,3 +284,46 @@ class TestParserBasics:
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
             run_cli()
+
+
+class TestNumericValidation:
+    """Out-of-range numbers are usage errors (exit 2), never a silent
+    fallback to a default or a traceback from deep inside a run."""
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "179.ART", "--period", "0"),
+        ("analyze", "179.ART", "--period", "-5"),
+        ("optimize", "179.ART", "--period", "0"),
+        ("views", "TSP", "--period", "0"),
+        ("trace", "art", "--period", "0"),
+        ("stats", "art", "--period", "0"),
+        ("sensitivity", "179.ART", "--periods", "127", "0"),
+        ("accuracy", "--trials", "0"),
+        ("analyze", "179.ART", "--scale", "0"),
+        ("analyze", "179.ART", "--scale", "-1"),
+        ("analyze", "179.ART", "--scale", "nan"),
+        ("table3", "--scale", "0"),
+        ("lint", "all", "--scale", "-0.5"),
+        ("verify", "--scale", "0"),
+        ("regroup", "--scale", "0"),
+        ("art", "--scale", "inf"),
+        ("summary", "--scale", "0"),
+        ("table3", "--jobs", "-3"),
+        ("overhead", "spec", "--jobs", "-1"),
+        ("bench", "--tolerance", "-1"),
+        ("bench", "--tolerance", "1"),
+        ("analyze", "179.ART", "--deadline", "0"),
+        ("table3", "--deadline", "-2"),
+    ])
+    def test_bad_value_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert "must be" in capsys.readouterr().err
+
+    def test_period_one_is_honoured(self):
+        code, text = run_cli("analyze", "462.libquantum", "--scale", "0.02",
+                             "--period", "1", "--json", "--quiet")
+        assert code == 0
+        payload = json.loads(text)
+        assert payload["sampling_period"] == 1
