@@ -10,6 +10,7 @@ computation.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -90,6 +91,27 @@ class DataObjectRegistry:
             return None
         obj = self._objects[idx]
         return obj if obj.contains(address) else None
+
+    def find_span(self, address: int) -> Tuple[Optional[DataObject], float, float]:
+        """``find(address)`` plus the span ``[lo, hi)`` around ``address``
+        on which ``find`` returns that same result.
+
+        An object's span ends at its own end or at the next object's
+        start, whichever comes first, so an object nested in or
+        overlapping another shadows the rest of it exactly as ``find``
+        does. Outside every object the result is ``None`` and the span
+        is the gap (unbounded sides are ``-inf``/``inf``).
+        """
+        starts = self._starts
+        idx = bisect_right(starts, address) - 1
+        following = starts[idx + 1] if idx + 1 < len(starts) else math.inf
+        if idx < 0:
+            return None, -math.inf, following
+        obj = self._objects[idx]
+        end = obj.end
+        if address < end:
+            return obj, obj.base, min(end, following)
+        return None, end, following
 
     def by_name(self, name: str) -> List[DataObject]:
         return [o for o in self._objects if o.name == name]

@@ -68,10 +68,53 @@ class ProfileCollector:
         )
 
     def collect(self, samples: Iterable[AddressSample]) -> Dict[int, ThreadProfile]:
-        """Attribute a batch of samples; returns the per-thread profiles."""
-        for sample in samples:
-            self.observe_sample(sample)
+        """Attribute a batch of samples; returns the per-thread profiles.
+
+        Gives exactly what :meth:`observe_sample` per sample gives. An
+        instruction in one calling context mostly keeps hitting one
+        object, so each ``(thread, ip, context)`` remembers the span of
+        its last attribution (see :meth:`DataObjectRegistry.find_span`)
+        with the profile, identity and stream it resolved to; only a
+        sample outside that span pays for the lookup again.
+        """
+        spans = {}
+        for _, thread, ip, address, _, is_write, latency, line, context in samples:
+            key = (thread, ip, context)
+            span = spans.get(key)
+            if span is None or not span[0] <= address < span[1]:
+                span = spans[key] = self._span(thread, ip, context, address, line)
+            profile, identity, stream = span[2], span[3], span[4]
+            profile.sample_count += 1
+            profile.total_latency += latency
+            if stream is None:
+                profile.unattributed_latency += latency
+                continue
+            data_latency = profile.data_latency
+            data_latency[identity] = data_latency.get(identity, 0.0) + latency
+            stream.update(
+                address, latency, is_write=is_write, source=data_source(latency)
+            )
         return self.profiles
+
+    def _span(self, thread: int, ip: int, context: int, address: int, line: int):
+        """``(lo, hi, profile, identity, stream)`` for a sample at
+        ``address``: the attribution every sample of this thread, ip and
+        context shares while its address stays in ``[lo, hi)``. The
+        stream is initialised as :meth:`observe_sample` would on its
+        first sample; identity and stream are None outside every object.
+        """
+        profile = self._profile(thread)
+        data_object, lo, hi = self.registry.find_span(address)
+        if data_object is None:
+            return lo, hi, profile, None, None
+        identity = data_object.identity
+        stream = profile.stream(ip, context, identity)
+        if stream.sample_count == 0:
+            stream.line = line
+            stream.data_base = data_object.base
+            loop = self.loop_map.loop_of_ip(ip)
+            stream.loop_id = loop.id if loop is not None else None
+        return lo, hi, profile, identity, stream
 
     # -- telemetry ----------------------------------------------------------
 

@@ -24,6 +24,19 @@ from ..program.trace import MemoryAccess
 from .events import AddressSample
 
 
+def _randbelow(getrandbits, n: int) -> int:
+    """A uniform int in ``[0, n)``, drawing exactly the bits
+    ``random.Random._randbelow`` draws, so ``a + _randbelow(rng.getrandbits,
+    b - a + 1)`` equals ``rng.randint(a, b)`` value for value and leaves
+    the same RNG state. One frame per draw instead of randint's four.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 class SamplingEngine:
     """Periodic per-thread address sampler.
 
@@ -41,7 +54,8 @@ class SamplingEngine:
         Latency threshold in cycles (PEBS-LL's ``ldlat`` filter);
         accesses faster than this are not eligible.
     seed:
-        RNG seed; runs are fully deterministic for a given seed.
+        RNG seed; runs are fully deterministic for a given seed, and
+        :meth:`reset` reseeds, so a rerun repeats the first run.
     """
 
     #: PMU model name, for overhead-provenance reporting; subclasses
@@ -65,6 +79,7 @@ class SamplingEngine:
         self.jitter = jitter
         self.loads_only = loads_only
         self.min_latency = min_latency
+        self.seed = seed
         self._rng = random.Random(seed)
         self._countdown: Dict[int, int] = {}
         self.samples: List[AddressSample] = []
@@ -75,15 +90,16 @@ class SamplingEngine:
         self.periods_drawn: List[int] = []
 
     def _next_period(self) -> int:
-        if self.jitter == 0.0:
-            drawn = self.period
-        else:
-            spread = int(self.period * self.jitter)
-            drawn = (
-                self.period
-                if spread == 0
-                else self.period + self._rng.randint(-spread, spread)
-            )
+        """Draw, record and return the next (jittered) period: the
+        per-access path's form of the draw :meth:`observe_batch`
+        inlines."""
+        spread = int(self.period * self.jitter)
+        drawn = (
+            self.period
+            if spread == 0
+            else self.period - spread
+            + _randbelow(self._rng.getrandbits, 2 * spread + 1)
+        )
         self.periods_drawn.append(drawn)
         return drawn
 
@@ -102,7 +118,7 @@ class SamplingEngine:
             # through _next_period() so the stagger respects jitter and
             # shows up in the periods_drawn telemetry like every other
             # arming of the counter.
-            remaining = self._rng.randint(1, self._next_period())
+            remaining = 1 + _randbelow(self._rng.getrandbits, self._next_period())
         remaining -= 1
         if remaining <= 0:
             self.samples.append(
@@ -131,7 +147,10 @@ class SamplingEngine:
         sample stagger, post-sample re-arm) are replayed in global trace
         position order via a small per-slot event heap, which makes the
         selected samples — and every counter — bit-identical to feeding
-        the expanded batch through :meth:`observe`.
+        the expanded batch through :meth:`observe`. A slot runs ahead
+        through its own expiries while they stay before every other
+        slot's next event, so a one-thread batch never touches the heap
+        per sample.
 
         Subclasses that override :meth:`observe` must override this
         hook consistently (see ``other_pmus._UnitLatencySampler``), or
@@ -188,35 +207,54 @@ class SamplingEngine:
                     self._countdown[t] = remaining - per_slot
         heapq.heapify(heap)
 
+        # _next_period's draw, inlined: one _randbelow frame per
+        # jittered period.
+        getrandbits = self._rng.getrandbits
+        period = self.period
+        spread = int(period * self.jitter)
+        low, width = period - spread, 2 * spread + 1
+        periods_append = self.periods_drawn.append
         samples_append = self.samples.append
+        heappop, heappush = heapq.heappop, heapq.heappush
+        # AddressSample(...) with its fields in order, minus the
+        # namedtuple constructor's Python frame.
+        new_tuple = tuple.__new__
+        if type(latencies) is not list:
+            # A zero-copy view: indexing it yields plain floats without
+            # numpy's per-element scalar boxing.
+            latencies = memoryview(latencies)
         address, ip, size = batch.address, batch.ip, batch.size
         is_write, line, context = batch.is_write, batch.line, batch.context
         while heap:
-            pos, s, e, is_first = heapq.heappop(heap)
+            _, s, e, is_first = heappop(heap)
             if is_first:
-                nxt = self._rng.randint(1, self._next_period()) - 1
-            else:
-                nxt = e
-            if nxt == e:
-                samples_append(
-                    AddressSample(
-                        seq=base + pos,
-                        thread=thread_order[s],
-                        ip=ip[pos],
-                        address=address[pos],
-                        size=size[pos],
-                        is_write=bool(is_write[pos]),
-                        latency=float(latencies[pos]),
-                        line=line[pos],
-                        context=context[pos],
-                    )
-                )
-                nxt = e + self._next_period()
-            if nxt < per_slot:
-                npos = (nxt // n_elig) * round_size + s * K + elig[nxt % n_elig]
-                heapq.heappush(heap, (npos, s, nxt, False))
-            else:
-                self._countdown[thread_order[s]] = nxt - (per_slot - 1)
+                drawn = period if spread == 0 else low + _randbelow(getrandbits, width)
+                periods_append(drawn)
+                # randint(1, drawn) - 1: the eligible index of the
+                # slot's first sample.
+                e = _randbelow(getrandbits, drawn)
+            # Every position this slot reaches below ``limit`` is the
+            # batch's next event: the slot runs ahead through its own
+            # expiries without touching the heap.
+            limit = heap[0][0] if heap else n
+            thread = thread_order[s]
+            slot_base = s * K
+            while True:
+                if e >= per_slot:
+                    self._countdown[thread] = e - (per_slot - 1)
+                    break
+                pos = (e // n_elig) * round_size + slot_base + elig[e % n_elig]
+                if pos > limit:
+                    heappush(heap, (pos, s, e, False))
+                    break
+                samples_append(new_tuple(AddressSample, (
+                    base + pos, thread, ip[pos], address[pos], size[pos],
+                    bool(is_write[pos]), float(latencies[pos]), line[pos],
+                    context[pos],
+                )))
+                drawn = period if spread == 0 else low + _randbelow(getrandbits, width)
+                periods_append(drawn)
+                e += drawn
 
     def _observe_batch_slow(self, batch, latencies) -> None:
         """Per-access replay for latency-filtered configurations."""
@@ -248,6 +286,9 @@ class SamplingEngine:
         return self.sample_count / self.eligible_accesses
 
     def reset(self) -> None:
+        """Forget every count and sample and reseed the RNG, so a rerun
+        repeats a fresh engine's run exactly."""
+        self._rng.seed(self.seed)
         self._countdown.clear()
         self.samples.clear()
         self.eligible_accesses = 0

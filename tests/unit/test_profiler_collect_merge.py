@@ -1,8 +1,14 @@
 """Unit tests for sample collection, profile merging, and the Monitor."""
 
+import functools
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.binary import LoopMap
+from repro.layout.address_space import Allocation
 from repro.profiler import (
     MERGED_THREAD,
     DataObjectRegistry,
@@ -71,6 +77,126 @@ class TestProfileCollector:
             )
         assert collector.profiles[0].sample_count == 2
         assert collector.profiles[1].sample_count == 1
+
+
+#: Where the generated registries put their objects, and a stack-like
+#: address far above all of them.
+REGION, REGION_SPAN, STACK = 0x1000, 96, 0x7FFF0000
+
+
+@functools.lru_cache(maxsize=None)
+def figure1_loop_map():
+    """figure1's loop map and access IPs (loops to attribute against)."""
+    bound = build_figure1(n=64)
+    ips = tuple(a.ip for a in bound.program.accesses())
+    return LoopMap(bound.program), ips
+
+
+@st.composite
+def overlapping_registries(draw):
+    """A registry whose objects overlap, nest and share start addresses
+    and identities: always an outer object with one nested inside it,
+    plus a few arbitrary ones in the same region."""
+    objects = [(0, 64), (16, 8)]  # outer, and nested inside it
+    objects += draw(st.lists(
+        st.tuples(st.integers(0, REGION_SPAN), st.integers(0, 40)),
+        max_size=4,
+    ))
+    registry = DataObjectRegistry()
+    for offset, size in objects:
+        registry.register(Allocation(
+            name=draw(st.sampled_from(["A", "B", "C"])),
+            base=REGION + offset,
+            size=size,
+            segment=draw(st.sampled_from(["heap", "static"])),
+        ))
+    return registry
+
+
+def addresses():
+    """Addresses in and around the objects, shadowed tails included,
+    plus stack addresses no object covers."""
+    return st.one_of(
+        st.integers(REGION - 8, REGION + REGION_SPAN + 48),
+        st.integers(STACK, STACK + 64),
+    )
+
+
+class TestCollectAttributionCache:
+    """collect() caches each (thread, ip, context)'s last attribution
+    span; it must still match observe_sample applied one at a time."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        registry=overlapping_registries(),
+        draws=st.lists(
+            st.tuples(
+                st.integers(0, 1),  # thread
+                st.integers(0, 3),  # ip index (3 = outside every loop)
+                st.integers(0, 1),  # context
+                addresses(),
+                st.sampled_from([1.0, 4.0, 9.5, 12.0, 42.0, 230.0]),
+                st.booleans(),
+            ),
+            min_size=30,
+            max_size=120,
+        ),
+    )
+    def test_collect_matches_per_sample_reference(self, registry, draws):
+        loop_map, ips = figure1_loop_map()
+        ip_choices = ips[:3] + (0xDEAD,)
+        samples = [
+            AddressSample(seq, thread, ip_choices[ip], address, 4, is_write,
+                          latency, 7 + ip, context)
+            for seq, (thread, ip, context, address, latency, is_write)
+            in enumerate(draws)
+        ]
+        cached = ProfileCollector(registry, loop_map, program_name="p")
+        cached.collect(samples)
+        reference = ProfileCollector(registry, loop_map, program_name="p")
+        for s in samples:
+            reference.observe_sample(s)
+
+        assert list(cached.profiles) == list(reference.profiles)
+        for thread, expected in reference.profiles.items():
+            got = cached.profiles[thread]
+            assert got.to_dict() == expected.to_dict()
+            assert got.data_latency == expected.data_latency
+            assert list(got.data_latency) == list(expected.data_latency)
+            assert got.unattributed_latency == expected.unattributed_latency
+            assert list(got.streams) == list(expected.streams)
+
+    @settings(deadline=None, max_examples=60)
+    @given(registry=overlapping_registries())
+    def test_find_span_agrees_with_find(self, registry):
+        window = range(REGION - 8, REGION + REGION_SPAN + 48)
+        checked = set()
+        for address in window:
+            obj, lo, hi = registry.find_span(address)
+            assert obj is registry.find(address)
+            assert lo <= address < hi
+            if (lo, hi) in checked:
+                continue
+            checked.add((lo, hi))
+            for other in window:
+                if lo <= other < hi:
+                    assert registry.find(other) is obj
+        # Far outside every object: an unbounded gap of no object.
+        for address in (0, STACK):
+            obj, lo, hi = registry.find_span(address)
+            assert obj is None and registry.find(address) is None
+            assert lo <= address < hi
+
+    def test_nested_object_shadows_the_tail_of_its_container(self):
+        registry = DataObjectRegistry()
+        registry.register(Allocation("outer", 0x100, 0x40, "heap"))
+        registry.register(Allocation("inner", 0x110, 0x8, "heap"))
+        outer, inner = registry.objects
+        assert registry.find_span(0x100) == (outer, 0x100, 0x110)
+        assert registry.find_span(0x117) == (inner, 0x110, 0x118)
+        # Past the inner object find sees neither: the shadowed tail.
+        assert registry.find_span(0x120) == (None, 0x118, math.inf)
+        assert registry.find(0x120) is None
 
 
 class TestMerge:

@@ -1,5 +1,7 @@
 """Unit tests for the sampling engine, PEBS/IBS models, overhead model."""
 
+import random
+
 import pytest
 
 from repro.memsim import RunMetrics
@@ -15,6 +17,7 @@ from repro.sampling import (
     SamplingEngine,
     data_source,
 )
+from repro.sampling.sampler import _randbelow
 
 
 def access(thread=0, addr=0x1000, write=False):
@@ -78,11 +81,67 @@ class TestSamplingEngine:
         assert engine.sample_count == 0
         assert engine.total_accesses == 0
 
+        # reset() reseeds: a rerun repeats a fresh engine's run exactly.
+        def run(engine):
+            for _ in range(500):
+                engine.observe(access(), 10.0)
+            return list(engine.samples), list(engine.periods_drawn)
+
+        fresh = run(SamplingEngine(period=20, seed=3))
+        engine = SamplingEngine(period=20, seed=3)
+        run(engine)
+        engine.reset()
+        assert run(engine) == fresh
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             SamplingEngine(period=0)
         with pytest.raises(ValueError):
             SamplingEngine(period=10, jitter=1.5)
+
+
+class TestDrawHelper:
+    """The sampler's one draw path must replay random.Random.randint
+    value for value and leave the same RNG state."""
+
+    SEEDS = (0, 1, 7, 12345)
+    # Widths 1, 2**k and 2**k + 1 (the rejection path), plus the jitter
+    # bands of the usual periods.
+    WIDTHS = (1, 2, 3, 4, 5, 8, 9, 16, 17, 64, 65, 1024, 1025, 21, 201, 2001)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_randint_for_every_width(self, seed):
+        ours, reference = random.Random(seed), random.Random(seed)
+        for width in self.WIDTHS:
+            for low in (-(width // 2), 0, 1):
+                got = [
+                    low + _randbelow(ours.getrandbits, width) for _ in range(50)
+                ]
+                want = [reference.randint(low, low + width - 1) for _ in range(50)]
+                assert got == want
+        assert ours.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("period", [11, 97, 1000])
+    def test_sampler_draws_match_randint(self, seed, period):
+        # The sampler's schedule written with randint: the first-sample
+        # stagger randint(1, next_period()), then one re-arm per sample.
+        reference = random.Random(seed)
+        spread = int(period * 0.1)
+        drawn = [period + reference.randint(-spread, spread)]
+        at = reference.randint(1, drawn[0]) - 1
+        expected = []
+        while at < 20 * period:
+            expected.append(at)
+            drawn.append(period + reference.randint(-spread, spread))
+            at += drawn[-1]
+
+        engine = SamplingEngine(period=period, jitter=0.1, seed=seed)
+        for _ in range(20 * period):
+            engine.observe(access(), 10.0)
+        assert [s.seq for s in engine.samples] == expected
+        assert engine.periods_drawn == drawn
+        assert engine._rng.getstate() == reference.getstate()
 
 
 class TestPEBSAndIBS:
