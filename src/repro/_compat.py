@@ -9,6 +9,10 @@ on 3.9 — same API, just without the memory savings there.
 :func:`effective_cpu_count` is the one place that answers "how many
 CPUs may this process actually use": the runner pool's default size
 (``--jobs 0``) goes through it rather than ``os.cpu_count()``.
+
+:func:`fold_sum` is the float total every printed result goes through:
+since 3.12 the built-in ``sum()`` adds floats with compensated
+summation, so its last bit can differ from 3.10/3.11.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
+from typing import Iterable
 
 #: True when ``dataclass(slots=True)`` is available (Python >= 3.10).
 DATACLASS_SLOTS = sys.version_info >= (3, 10)
@@ -45,3 +50,15 @@ def effective_cpu_count() -> int:
         return len(os.sched_getaffinity(0)) or 1
     except (AttributeError, OSError):
         return os.cpu_count() or 1
+
+
+def fold_sum(values: Iterable[float]) -> float:
+    """``sum(values)`` as a plain left fold, the same on every Python.
+
+    Use it for any float total that reaches output (tables, JSON,
+    reports, metrics); integer counts may keep the built-in ``sum()``.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total

@@ -17,7 +17,6 @@ paper's artifacts:
     python -m repro bench [--quick]           # scalar vs batched engine bench
     python -m repro bench --trend             # throughput trajectory table
     python -m repro attribute BASE HEAD       # per-stage regression ranking
-    python -m repro dash dash.html            # static HTML dashboard
     python -m repro lint all --format json    # machine-readable lint report
     python -m repro verify                    # split-safety + false-sharing
                                               # oracle across the zoo
@@ -32,15 +31,6 @@ writes the raw payload), with ``--check BASELINE`` as the CI
 perf-smoke regression gate — its failure message includes the
 per-stage attribution ``attribute`` prints standalone.
 
-Long-running commands (``analyze``, ``optimize``, ``table3``,
-``bench``, ``overhead``, ``sensitivity``, ``summary``) run under a
-live event bus (see docs/observability.md): progress and rate/ETA
-lines on stderr (``--quiet`` silences them and restores the inert
-``NULL_BUS`` path), ``--live FILE`` streams every event as tail-able
-JSONL, ``--deadline SECONDS`` kills a hung run with exit 124, and a
-flight recorder dumps the last events to ``telemetry/flightrec.json``
-(``--flightrec`` overrides) on crash, SIGTERM, or deadline.
-
 ``analyze``, ``optimize``, and ``table3`` additionally accept
 ``--telemetry DIR`` (export spans/metrics for the run) and — for
 ``analyze``/``table3`` — ``--json`` (machine-readable results).
@@ -51,7 +41,10 @@ independent workload runs over N worker processes) and ``--cache DIR``
 (content-addressed result cache: warm re-runs of unchanged
 workload/config pairs execute nothing and print byte-identical
 output).  Both are handled by :mod:`repro.runner`; a summary line with
-the hit/miss/execution counts goes to stderr.
+the hit/miss/execution counts goes to stderr after the command's
+stdout.  No command writes progress lines: what a run did is recorded
+after the fact (``--telemetry``, ``trace``, ``stats``; see
+docs/observability.md).
 
 Every run feeds the interpreter's item stream straight into the cache
 simulator, in one thread, with nothing on disk; ``--engine`` is the
@@ -59,9 +52,9 @@ only performance switch.  ``repro cache --stats --cache DIR`` reports
 on the result cache.
 
 Numeric options are validated at parse time: a sampling period, trial
-count or ``--periods`` entry below 1, a non-positive ``--scale`` or
-``--deadline``, a negative ``--jobs`` or a ``--tolerance`` outside
-[0, 1) is a usage error (exit status 2).
+count or ``--periods`` entry below 1, a non-positive ``--scale``, a
+negative ``--jobs`` or a ``--tolerance`` outside [0, 1) is a usage
+error (exit status 2).
 """
 
 from __future__ import annotations
@@ -100,7 +93,7 @@ def _non_negative(text: str) -> int:
 
 
 def _positive(text: str) -> float:
-    """argparse type: a finite float > 0 (scales, deadlines)."""
+    """argparse type: a finite float > 0 (scales)."""
     value = float(text)
     if not (0.0 < value < math.inf):
         raise argparse.ArgumentTypeError(
@@ -129,32 +122,6 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
                         help="content-addressed result cache; warm re-runs "
                              "of unchanged (workload, config) pairs return "
                              "instantly with identical output")
-
-
-def _add_observability_args(parser: argparse.ArgumentParser) -> None:
-    """The live-bus knobs shared by the long-running commands.
-
-    By default these commands run with a live event bus: a progress
-    reporter on stderr (rate/ETA) and a flight recorder that dumps the
-    recent event ring to ``telemetry/flightrec.json`` on crash,
-    SIGTERM, or ``--deadline`` expiry.  ``--quiet`` disables the bus
-    entirely (the zero-cost path — stdout is byte-identical either
-    way, stderr goes silent).
-    """
-    parser.add_argument("--quiet", action="store_true",
-                        help="no live event bus: silence stderr progress "
-                             "and runner-stats lines (stdout is identical)")
-    parser.add_argument("--live", metavar="FILE", default=None,
-                        help="append every live event to FILE as JSONL "
-                             "(tail-able while the run is in flight)")
-    parser.add_argument("--deadline", type=_positive, metavar="SECONDS",
-                        default=None,
-                        help="abort (exit 124) after SECONDS, dumping the "
-                             "flight recorder — the CI hang-killer")
-    parser.add_argument("--flightrec", metavar="FILE", default=None,
-                        help="flight-recorder dump path (default: "
-                             "telemetry/flightrec.json; written only on "
-                             "crash, SIGTERM, or deadline)")
 
 
 def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
@@ -190,7 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--telemetry", metavar="DIR", default=None,
                        help="record spans/metrics and export them to DIR")
         _add_engine_arg(p)
-        _add_observability_args(p)
         if name == "optimize":
             _add_runner_args(p)
             p.add_argument("--verify", action="store_true",
@@ -247,7 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="print machine-readable JSON instead of the tables")
     _add_engine_arg(p)
     _add_runner_args(p)
-    _add_observability_args(p)
 
     p = sub.add_parser(
         "bench",
@@ -277,7 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=_fraction, default=0.25,
                    help="allowed fractional throughput regression for "
                         "--check (default: 0.25)")
-    _add_observability_args(p)
 
     p = sub.add_parser(
         "attribute",
@@ -294,22 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=["scalar", "batched"],
                    default="batched",
                    help="which engine's stage timings to attribute")
-
-    p = sub.add_parser(
-        "dash",
-        help="write a self-contained static HTML dashboard (no server): "
-             "bench trend, latest span flame view, overhead "
-             "decomposition, cache-hit rates",
-    )
-    p.add_argument("out", help="output HTML path, e.g. dash.html")
-    p.add_argument("--history", metavar="DIR",
-                   default="benchmarks/history",
-                   help="bench history store to chart "
-                        "(default: benchmarks/history)")
-    p.add_argument("--telemetry", metavar="DIR", default=None,
-                   help="a directory written by --telemetry/`repro trace` "
-                        "whose spans, metrics, and overhead accounts "
-                        "feed the flame view and rate panels")
 
     p = sub.add_parser(
         "trace",
@@ -344,7 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("overhead", help="regenerate Figure 4 or 5")
     p.add_argument("suite", choices=["rodinia", "spec"])
     _add_runner_args(p)
-    _add_observability_args(p)
 
     p = sub.add_parser("accuracy", help="regenerate the Eq 4 study")
     p.add_argument("--trials", type=_at_least_one, default=1000)
@@ -361,7 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--periods", type=_at_least_one, nargs="+",
                    default=[127, 509, 2003, 8009, 32003])
     _add_runner_args(p)
-    _add_observability_args(p)
 
     p = sub.add_parser(
         "cache",
@@ -378,7 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-suites", action="store_true",
                    help="skip the Figure 4/5 suite sweeps")
     _add_runner_args(p)
-    _add_observability_args(p)
     return parser
 
 
@@ -435,51 +380,11 @@ def _telemetry_scope(args, out):
     with telemetry.session() as session:
         yield session
         paths = telemetry.write_telemetry(session, directory)
-    destination = out if not getattr(args, "json", False) else sys.stderr
-    print(f"wrote {len(paths)} telemetry files to {directory}",
-          file=destination)
-
-
-@contextmanager
-def _live_scope(args):
-    """Install the live event bus for one command, when wanted.
-
-    The bus is on by default for every command that grew the
-    observability flags: a stderr :class:`ProgressReporter`, an
-    optional ``--live`` JSONL stream, and a :class:`FlightRecorder`
-    whose ring buffer is dumped only on crash, SIGTERM, or
-    ``--deadline`` expiry.  ``--quiet`` (without ``--live`` or
-    ``--deadline``) skips all of it — the ambient bus stays
-    ``NULL_BUS`` and every instrumented call site costs one falsy
-    check, the same zero-cost contract as ``NULL_TRACER``.
-    """
-    from .telemetry import events, live
-
-    observed = hasattr(args, "quiet")
-    quiet = getattr(args, "quiet", False)
-    stream_path = getattr(args, "live", None)
-    deadline = getattr(args, "deadline", None)
-    if not observed or (quiet and not stream_path and deadline is None):
-        yield None
-        return
-    bus = events.EventBus()
-    if not quiet:
-        bus.subscribe(live.ProgressReporter(sys.stderr))
-    writer = None
-    if stream_path:
-        writer = live.JsonlStreamWriter(stream_path)
-        bus.subscribe(writer)
-    recorder = live.FlightRecorder()
-    bus.subscribe(recorder)
-    flight_path = getattr(args, "flightrec", None) or live.FLIGHT_PATH
-    try:
-        with events.use(bus), live.crash_dump_scope(
-            recorder, flight_path, deadline=deadline
-        ):
-            yield bus
-    finally:
-        if writer is not None:
-            writer.close()
+    message = f"wrote {len(paths)} telemetry files to {directory}"
+    if getattr(args, "json", False):
+        _note(message)
+    else:
+        print(message, file=out)
 
 
 def _runner_stats(args):
@@ -491,27 +396,28 @@ def _runner_stats(args):
     return None
 
 
-def _print_runner_stats(stats, args) -> None:
+def _note(line: str) -> None:
+    """Write one diagnostic line to stderr.
+
+    A closed stderr loses only the line: the ``BrokenPipeError`` exit
+    in :func:`main` is for a closed stdout, and must not cut off the
+    results still to be printed or cached.
+    """
+    try:
+        print(line, file=sys.stderr)
+    except BrokenPipeError:
+        pass
+
+
+def _print_runner_stats(stats) -> None:
     """One stderr line with the runner's hit/miss/execution counts.
 
     stderr so machine-readable stdout (``--json``) stays clean and cold
     vs warm runs diff clean; CI greps this line to prove a warm cache
-    re-run executed nothing.  The line also rides the event bus (for
-    the JSONL stream / flight recorder) and honors ``--quiet``.
+    re-run executed nothing.  Callers print it after their stdout.
     """
-    if stats is None:
-        return
-    summary = stats.describe()
-    from .telemetry import events
-
-    bus = events.bus()
-    if bus.active:
-        # The ProgressReporter subscriber relays the summary to stderr.
-        bus.publish("task-finish", kind="runner-stats", summary=summary,
-                    tasks=stats.tasks, hits=stats.cache_hits,
-                    misses=stats.cache_misses, executed=stats.executed)
-    elif not getattr(args, "quiet", False):
-        print(summary, file=sys.stderr)
+    if stats is not None:
+        _note(stats.describe())
 
 
 def _cmd_list(args, out) -> int:
@@ -754,15 +660,15 @@ def _cmd_optimize_via_runner(args, out) -> int:
     with _telemetry_scope(args, out):
         (record,) = run_tasks([spec], jobs=args.jobs, cache=args.cache,
                               stats=stats)
-    _print_runner_stats(stats, args)
     print(record["report"], file=out)
-    if not record["advice"]:
-        print("\nno split recommended", file=out)
-        return 1
     for advice in record["advice"]:
         print(f"\nadvice: {advice}", file=out)
-    print(f"speedup: {record['speedup']:.2f}x", file=out)
-    return 0
+    if record["advice"]:
+        print(f"speedup: {record['speedup']:.2f}x", file=out)
+    else:
+        print("\nno split recommended", file=out)
+    _print_runner_stats(stats)
+    return 0 if record["advice"] else 1
 
 
 def _cmd_regroup(args, out) -> int:
@@ -791,13 +697,13 @@ def _cmd_table3(args, out) -> int:
         results = run_all(scale=args.scale, jobs=args.jobs,
                           cache=args.cache, runner_stats=stats,
                           engine=getattr(args, "engine", "batched"))
-    _print_runner_stats(stats, args)
     if getattr(args, "json", False):
         _print_json(results_json(results), out)
-        return 0
-    print(table3(results).render(), file=out)
-    print(file=out)
-    print(table4(results).render(), file=out)
+    else:
+        print(table3(results).render(), file=out)
+        print(file=out)
+        print(table4(results).render(), file=out)
+    _print_runner_stats(stats)
     return 0
 
 
@@ -849,16 +755,6 @@ def _cmd_attribute(args, out) -> int:
     if dominant is None:
         print("no stages in common between the two runs", file=out)
         return 2
-    return 0
-
-
-def _cmd_dash(args, out) -> int:
-    from .telemetry import history
-    from .telemetry.dash import write_dash
-
-    entries = history.load_history(args.history)
-    path = write_dash(args.out, entries, telemetry_dir=args.telemetry)
-    print(f"wrote {path} ({len(entries)} history entries)", file=out)
     return 0
 
 
@@ -939,8 +835,8 @@ def _cmd_overhead(args, out) -> int:
     stats = _runner_stats(args)
     result = run_suite_overheads(args.suite, jobs=args.jobs,
                                  cache=args.cache, runner_stats=stats)
-    _print_runner_stats(stats, args)
     print(result.chart(), file=out)
+    _print_runner_stats(stats)
     return 0
 
 
@@ -972,8 +868,8 @@ def _cmd_sensitivity(args, out) -> int:
         workload, args.periods, jobs=args.jobs, cache=args.cache,
         runner_stats=stats,
     )
-    _print_runner_stats(stats, args)
     print(sensitivity_table(workload.name, points).render(), file=out)
+    _print_runner_stats(stats)
     return 0
 
 
@@ -1004,9 +900,9 @@ def _cmd_summary(args, out) -> int:
         cache=args.cache,
         runner_stats=stats,
     )
-    _print_runner_stats(stats, args)
     print(file=out)
     print(report.render(), file=out)
+    _print_runner_stats(stats)
     return 0
 
 
@@ -1020,7 +916,6 @@ _COMMANDS = {
     "table3": _cmd_table3,
     "bench": _cmd_bench,
     "attribute": _cmd_attribute,
-    "dash": _cmd_dash,
     "trace": _cmd_trace,
     "stats": _cmd_stats,
     "art": _cmd_art,
@@ -1036,8 +931,7 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        with _live_scope(args):
-            return _COMMANDS[args.command](args, out or sys.stdout)
+        return _COMMANDS[args.command](args, out or sys.stdout)
     except BrokenPipeError:
         # Output was piped into something like `head`; not an error.
         return 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from .._compat import fold_sum
 from ..binary.loopmap import LoopMap
 from ..profiler.profile import DataIdentity, ThreadProfile
 from .streams import NO_LOOP, streams_by_loop
@@ -69,7 +70,7 @@ def loop_offset_table(
 
 def object_total_latency(table: Dict[int, LoopAccessEntry]) -> float:
     """Total sampled latency of one data object across all loops."""
-    return sum(entry.latency for entry in table.values())
+    return fold_sum(entry.latency for entry in table.values())
 
 
 def loop_share_rows(

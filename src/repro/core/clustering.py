@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+from .._compat import fold_sum
 from .affinity import AffinityMatrix
 
 #: Edges at or above this affinity bind two fields into one structure.
@@ -55,4 +56,4 @@ def group_latencies(
     groups: Sequence[Sequence[int]], totals: Dict[int, float]
 ) -> List[float]:
     """Aggregate per-offset latency into per-group latency."""
-    return [sum(totals.get(o, 0.0) for o in group) for group in groups]
+    return [fold_sum(totals.get(o, 0.0) for o in group) for group in groups]

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from .._compat import fold_sum
 from ..profiler.profile import DataIdentity, ThreadProfile
 from .clustering import DEFAULT_THRESHOLD
 from .streams import streams_by_loop, streams_of
@@ -91,7 +92,7 @@ def collect_array_usage(
             stride = math.gcd(stride, stream.stride)
         loops: Dict[int, float] = {}
         for loop_id, streams in streams_by_loop(profile, identity).items():
-            loops[loop_id] = sum(s.total_latency for s in streams)
+            loops[loop_id] = fold_sum(s.total_latency for s in streams)
         usages.append(
             ArrayUsage(
                 identity=identity,
@@ -109,7 +110,7 @@ def array_affinities(usages: Sequence[ArrayUsage]) -> List[ArrayAffinity]:
     for i, a in enumerate(usages):
         for b in usages[i + 1 :]:
             common = sorted(set(a.loops) & set(b.loops))
-            lc = sum(a.loops[l] + b.loops[l] for l in common)
+            lc = fold_sum(a.loops[l] + b.loops[l] for l in common)
             denom = a.total_latency + b.total_latency
             result.append(
                 ArrayAffinity(

@@ -28,7 +28,6 @@ from ..memsim.hierarchy import HierarchyConfig, MemoryHierarchy
 from ..program.batch import AccessBatch
 from ..program.interp import Interpreter
 from ..sampling.pebs import PEBSLoadLatencySampler
-from ..telemetry import events
 from ..workloads.art import ArtWorkload
 
 #: Bump when the JSON layout changes incompatibly.
@@ -68,20 +67,8 @@ class _PairRecorder:
         self.batched.append((batch, latencies))
 
 
-def run_bench(
-    *,
-    quick: bool = False,
-    progress: Optional[Callable[[str], None]] = None,
-) -> Dict[str, object]:
+def run_bench(*, quick: bool = False) -> Dict[str, object]:
     """Measure both engines and return the BENCH json payload."""
-    bus = events.bus()
-
-    def say(message: str) -> None:
-        if progress is not None:
-            progress(message)
-        if bus.active:
-            bus.publish("stage-progress", stage="bench", message=message)
-
     scale = QUICK_SCALE if quick else FULL_SCALE
     repeats = QUICK_REPEATS if quick else FULL_REPEATS
     workload = ArtWorkload(scale=scale)
@@ -100,7 +87,6 @@ def run_bench(
     layers: Dict[str, Dict[str, object]] = {}
 
     # -- interpret: trace generation alone --------------------------------
-    say("bench: interpret layer")
 
     def interpret_scalar() -> int:
         n = 0
@@ -117,7 +103,6 @@ def run_bench(
     layers["interpret"] = _layer(repeats, interpret_scalar, interpret_batched)
 
     # -- simulate: hierarchy walk on a pre-materialized trace --------------
-    say("bench: simulate layer")
     scalar_trace = list(interpreter().run())
     batched_trace = list(interpreter().run_batched())
     accesses = sum(
@@ -137,7 +122,6 @@ def run_bench(
     layers["simulate"] = _layer(repeats, simulate_scalar, simulate_batched)
 
     # -- sample: countdown advance on captured (item, latency) pairs -------
-    say("bench: sample layer")
     recorder = _PairRecorder()
     simulate(scalar_trace, hierarchy=hierarchy(), observer=recorder.observe)
     simulate(batched_trace, hierarchy=hierarchy(), observer=recorder.observe)
@@ -159,7 +143,6 @@ def run_bench(
     layers["sample"] = _layer(repeats, sample_scalar, sample_batched)
 
     # -- end to end: interpret -> simulate -> sample ------------------------
-    say("bench: end-to-end pipeline")
 
     def end_to_end_run(batched: bool) -> int:
         interp = interpreter()

@@ -18,6 +18,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from .._compat import fold_sum
 from ..core.analyzer import OfflineAnalyzer
 from ..core.pipeline import OptimizationResult, optimize
 from ..profiler.monitor import Monitor
@@ -177,9 +178,9 @@ def table3(results: Dict[str, OptimizationResult]) -> Table:
     if speedups:
         table.add_row(
             "average",
-            sum(speedups) / len(speedups),
+            fold_sum(speedups) / len(speedups),
             1.18,
-            sum(overheads) / len(overheads),
+            fold_sum(overheads) / len(overheads),
             7.1,
         )
     return table
@@ -215,8 +216,8 @@ def results_json(results: Dict[str, OptimizationResult]) -> Dict[str, object]:
     summary = {}
     if speedups:
         summary = {
-            "mean_speedup": sum(speedups) / len(speedups),
-            "mean_overhead_percent": sum(overheads) / len(overheads),
+            "mean_speedup": fold_sum(speedups) / len(speedups),
+            "mean_overhead_percent": fold_sum(overheads) / len(overheads),
             "paper_mean_speedup": 1.18,
             "paper_mean_overhead_percent": 7.1,
         }

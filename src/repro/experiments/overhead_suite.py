@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
+from .._compat import fold_sum
 from ..profiler.monitor import Monitor
 from ..workloads.suites import KernelSpec, suite_by_name
 from .report import Table, bar_chart
@@ -31,7 +32,7 @@ class SuiteOverheads:
     def average(self) -> float:
         if not self.rows:
             return 0.0
-        return sum(v for _, v in self.rows) / len(self.rows)
+        return fold_sum(v for _, v in self.rows) / len(self.rows)
 
     def table(self) -> Table:
         table = Table(

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .._compat import fold_sum
 from .types import PrimitiveType, align_up
 
 
@@ -174,7 +175,7 @@ class FieldLatencyProfile:
         self.latency[field_name] = self.latency.get(field_name, 0.0) + latency
 
     def total(self) -> float:
-        return sum(self.latency.values())
+        return fold_sum(self.latency.values())
 
     def share(self, field_name: str) -> float:
         total = self.total()

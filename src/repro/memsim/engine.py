@@ -16,16 +16,11 @@ from .._compat import slotted_dataclass
 
 from ..program.batch import AccessBatch
 from ..program.trace import ComputeBurst, MemoryAccess, TraceItem
-from ..telemetry import events
 from .hierarchy import HierarchyConfig, MemoryHierarchy
 from .stats import RunMetrics
 
 #: An observer receives (access, latency_cycles) for every access.
 Observer = Callable[[MemoryAccess, float], None]
-
-#: Accesses between ``stage-progress`` publications when a live event
-#: bus is attached; coarse enough that the hot loop never feels it.
-PROGRESS_EVERY = 1 << 17
 
 
 @slotted_dataclass(frozen=True)
@@ -83,9 +78,6 @@ def simulate(
 
     hier_access = hier.access  # local binding for the hot loop
     hier_batch = hier.access_batch
-    bus = events.bus()
-    # 0 disables the per-item progress check with a single falsy test.
-    progress_mark = PROGRESS_EVERY if bus.active else 0
     # A plain CostModel's stall() can be inlined per latency; a subclass
     # with its own arithmetic is called per latency instead.
     inline_stall = type(cost) is CostModel
@@ -128,10 +120,6 @@ def simulate(
                 max_thread = item.thread
             if observer is not None:
                 observer(item, latency)
-            if progress_mark and accesses >= progress_mark:
-                progress_mark = accesses + PROGRESS_EVERY
-                bus.publish("stage-progress", stage="simulate",
-                            done=accesses, unit="accesses")
         elif isinstance(item, ComputeBurst):
             compute += item.cycles
         elif isinstance(item, AccessBatch):
@@ -171,10 +159,6 @@ def simulate(
                     column = latencies.tolist()
                 for access, latency in zip(item, column):
                     observer(access, latency)
-            if progress_mark and accesses >= progress_mark:
-                progress_mark = accesses + PROGRESS_EVERY
-                bus.publish("stage-progress", stage="simulate",
-                            done=accesses, unit="accesses")
         else:
             raise TypeError(f"unexpected trace item {type(item).__name__}")
 

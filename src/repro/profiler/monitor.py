@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from .._compat import fold_sum
 from ..binary.linemap import LineMap
 from ..binary.loopmap import LoopMap
 from ..memsim.engine import CostModel, simulate
@@ -163,7 +164,9 @@ class Monitor:
                 components = self.overhead_model.components(
                     metrics, priced_samples
                 )
-                monitored_cycles = metrics.cycles + sum(components.values())
+                monitored_cycles = metrics.cycles + fold_sum(
+                    components.values()
+                )
                 overhead = self.overhead_model.overhead_percent(
                     metrics, priced_samples
                 )
@@ -234,10 +237,6 @@ class Monitor:
                 help="branching factor of the reduction-tree merge",
             ).set(merge_stats.fan_in)
             telemetry.record_overhead(account)
-            telemetry.publish_metric_deltas(
-                metrics_registry, telemetry.events.bus(),
-                workload=bound.name, variant=bound.variant,
-            )
 
         return ProfiledRun(
             workload=bound.name,
@@ -287,10 +286,5 @@ class Monitor:
             )
             span.set(accesses=metrics.accesses, cycles=metrics.cycles)
         if telemetry.enabled():
-            registry = telemetry.metrics_registry()
-            hierarchy.export_metrics(registry)
-            telemetry.publish_metric_deltas(
-                registry, telemetry.events.bus(),
-                workload=bound.name, variant=bound.variant,
-            )
+            hierarchy.export_metrics(telemetry.metrics_registry())
         return metrics

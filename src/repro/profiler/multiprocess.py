@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional
 
+from .._compat import fold_sum
 from ..memsim.hierarchy import HierarchyConfig
 from ..memsim.stats import RunMetrics
 from ..program.builder import BoundProgram
@@ -56,12 +57,14 @@ class MultiProcessRun:
                 isinstance(v, (int, float)) and not isinstance(v, bool)
                 for v in values
             ):
-                setattr(total, spec.name, sum(values))
+                setattr(total, spec.name, fold_sum(values))
         return total
 
     def overhead_percent(self) -> float:
         metrics = self.aggregate_metrics()
-        extra = sum(r.monitored_cycles - r.metrics.cycles for r in self.ranks)
+        extra = fold_sum(
+            r.monitored_cycles - r.metrics.cycles for r in self.ranks
+        )
         return 100.0 * extra / metrics.cycles if metrics.cycles else 0.0
 
 

@@ -22,7 +22,6 @@ from .batch import (
     assemble_batches,
     referenced_vars,
 )
-from ..telemetry import events
 from .builder import BoundProgram
 from .context import ROOT_CONTEXT, ContextTable
 from .ir import Access, AddrOf, Call, Compute, Loop, Program, PtrAccess, Stmt
@@ -36,31 +35,6 @@ MAX_ACCESS_BYTES = 8
 
 class TraceError(RuntimeError):
     """An IR access went out of bounds or referenced a missing binding."""
-
-
-#: Trace items between ``stage-progress`` publications when a live
-#: event bus is listening (see :mod:`repro.telemetry.events`).
-PROGRESS_EVERY = 1 << 16
-
-
-def _published(items: Iterator[TraceItem]) -> Iterator[TraceItem]:
-    """Pass ``items`` through, publishing coarse interpret progress.
-
-    Counts *accesses* (a batch counts its length) and publishes a
-    ``stage-progress`` event at most every :data:`PROGRESS_EVERY`; the
-    live bus was checked active before this wrapper was chosen, so the
-    disabled path never pays for the extra generator frame.
-    """
-    bus = events.bus()
-    done = 0
-    mark = PROGRESS_EVERY
-    for item in items:
-        done += len(item) if isinstance(item, AccessBatch) else 1
-        if done >= mark:
-            mark = done + PROGRESS_EVERY
-            bus.publish("stage-progress", stage="interpret", done=done,
-                        unit="accesses")
-        yield item
 
 
 #: Distinct (loop, thread, context, env) batch shapes remembered per run.
@@ -148,11 +122,7 @@ class Interpreter:
     def run(self) -> Iterator[TraceItem]:
         """Yield the full interleaved trace of the program."""
         entry = self.program.functions[self.program.entry]
-        items = self._exec_body(entry.body, {}, 0, ROOT_CONTEXT)
-        if not events.bus().active:
-            yield from items
-        else:
-            yield from _published(items)
+        yield from self._exec_body(entry.body, {}, 0, ROOT_CONTEXT)
 
     def run_batched(self) -> Iterator[TraceItem]:
         """Yield the trace with innermost pure-``Access`` loops batched.
@@ -165,11 +135,7 @@ class Interpreter:
         handle batches can iterate each batch for the scalar view.
         """
         entry = self.program.functions[self.program.entry]
-        items = self._exec_body_batched(entry.body, {}, 0, ROOT_CONTEXT)
-        if not events.bus().active:
-            yield from items
-        else:
-            yield from _published(items)
+        yield from self._exec_body_batched(entry.body, {}, 0, ROOT_CONTEXT)
 
     # -- execution ----------------------------------------------------------
 

@@ -17,14 +17,12 @@ execute nothing and record only a ``cache-hit`` span.
 from __future__ import annotations
 
 import multiprocessing
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .. import telemetry
 from .._compat import effective_cpu_count
-from ..telemetry import events
 from ..telemetry.merge import SessionPayload, absorb_payload, capture_session
 from .cache import ResultCache, as_cache
 from .tasks import TaskSpec, execute_task
@@ -97,15 +95,12 @@ def run_tasks(
     records: List[Optional[object]] = [None] * len(specs)
     pending: List[int] = []
     tracer = telemetry.tracer()
-    bus = events.bus()
     for index, spec in enumerate(specs):
         cached = store.get(spec) if store is not None else None
         if cached is not None:
             records[index] = cached
             with tracer.span("cache-hit", kind=spec.kind, task=spec.name):
                 pass
-            if bus.active:
-                bus.publish("cache-hit", kind=spec.kind, task=spec.name)
         else:
             pending.append(index)
 
@@ -116,42 +111,21 @@ def run_tasks(
         stats.executed += len(pending)
 
     if pending:
-        total = len(pending)
-        if jobs > 1 and total > 1:
+        if jobs > 1 and len(pending) > 1:
             capture = telemetry.enabled()
-            if bus.active:
-                for seq, index in enumerate(pending, 1):
-                    spec = specs[index]
-                    bus.publish("task-start", task=spec.name, kind=spec.kind,
-                                seq=seq, total=total)
             context = multiprocessing.get_context()
-            with context.Pool(min(jobs, total)) as pool:
+            with context.Pool(min(jobs, len(pending))) as pool:
                 results = pool.map(
                     _worker, [(specs[i], capture) for i in pending]
                 )
             session = telemetry.active()
-            for seq, (index, (record, captured)) in enumerate(
-                zip(pending, results), 1
-            ):
+            for index, (record, captured) in zip(pending, results):
                 records[index] = record
                 if captured is not None and session is not None:
                     absorb_payload(session, captured)
-                if bus.active:
-                    spec = specs[index]
-                    bus.publish("task-finish", task=spec.name,
-                                kind=spec.kind, seq=seq, total=total)
         else:
-            for seq, index in enumerate(pending, 1):
-                spec = specs[index]
-                if bus.active:
-                    bus.publish("task-start", task=spec.name, kind=spec.kind,
-                                seq=seq, total=total)
-                started = time.perf_counter()
-                records[index] = execute_task(spec)
-                if bus.active:
-                    bus.publish("task-finish", task=spec.name, kind=spec.kind,
-                                seq=seq, total=total,
-                                seconds=time.perf_counter() - started)
+            for index in pending:
+                records[index] = execute_task(specs[index])
         if store is not None:
             for index in pending:
                 store.put(specs[index], records[index])

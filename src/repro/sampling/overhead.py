@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from .._compat import fold_sum
 from ..memsim.stats import RunMetrics
 
 
@@ -75,7 +76,9 @@ class OverheadModel:
 
     def monitored_cycles(self, plain: RunMetrics, sample_count: float) -> float:
         """Predicted cycles for the monitored run."""
-        return plain.cycles + sum(self.components(plain, sample_count).values())
+        return plain.cycles + fold_sum(
+            self.components(plain, sample_count).values()
+        )
 
     def overhead_percent(self, plain: RunMetrics, sample_count: float) -> float:
         """Overhead of monitoring as a percentage of the plain runtime."""

@@ -20,6 +20,7 @@ import heapq
 import random
 from typing import Dict, List, Optional
 
+from .._compat import fold_sum
 from ..program.trace import MemoryAccess
 from .events import AddressSample
 
@@ -331,7 +332,7 @@ class SamplingEngine:
         if self.periods_drawn:
             n = len(self.periods_drawn)
             mean = sum(self.periods_drawn) / n
-            var = sum((p - mean) ** 2 for p in self.periods_drawn) / n
+            var = fold_sum((p - mean) ** 2 for p in self.periods_drawn) / n
             registry.gauge(
                 "repro_sampling_period_observed_mean",
                 help="mean of the jittered periods actually drawn",

@@ -19,8 +19,7 @@ composable profiling stages:
 See ``docs/observability.md`` for the span taxonomy and metric names.
 """
 
-from . import events, history
-from .events import EVENT_TYPES, NULL_BUS, Event, EventBus, NullBus
+from . import history
 from .export import (
     chrome_trace,
     jsonl,
@@ -28,13 +27,6 @@ from .export import (
     telemetry_events,
     to_jsonable,
     write_telemetry,
-)
-from .live import (
-    FlightRecorder,
-    JsonlStreamWriter,
-    ProgressReporter,
-    crash_dump_scope,
-    publish_metric_deltas,
 )
 from .metrics import (
     LATENCY_BUCKETS_CYCLES,
@@ -62,33 +54,22 @@ from .spans import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
     "COMPONENTS",
-    "EVENT_TYPES",
     "LATENCY_BUCKETS_CYCLES",
-    "NULL_BUS",
     "NULL_REGISTRY",
     "NULL_TRACER",
     "Counter",
-    "Event",
-    "EventBus",
-    "FlightRecorder",
     "Gauge",
     "Histogram",
-    "JsonlStreamWriter",
     "MetricsRegistry",
-    "NullBus",
     "NullRegistry",
     "NullTracer",
-    "ProgressReporter",
     "SelfOverheadAccount",
     "SessionPayload",
     "Span",
     "TelemetrySession",
     "Tracer",
     "absorb_payload",
-    "crash_dump_scope",
-    "events",
     "history",
-    "publish_metric_deltas",
     "active",
     "capture_session",
     "chrome_trace",

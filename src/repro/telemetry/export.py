@@ -39,8 +39,8 @@ def to_jsonable(obj):
     with ``/``), sets (sorted), tuples, non-finite floats (encoded as
     strings, since JSON has no Infinity/NaN), ``array.array`` columns
     (the batched engine's ``array('q')`` address columns become plain
-    lists), and paths (their string form) — the latter two flow through
-    live events and must round-trip, not stringify to ``repr``.
+    lists), and paths (their string form) — the latter two must
+    round-trip, not stringify to ``repr``.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj

@@ -7,8 +7,7 @@ home and a memory:
 - :func:`record_entry` appends a snapshot to a **content-addressed
   store** (``benchmarks/history/bench-<sha12>.json``): the entry id is
   the SHA-256 of the entry's canonical JSON, so identical runs map to
-  one file and an entry can be referenced unambiguously from CI logs
-  and dashboards;
+  one file and an entry can be referenced unambiguously from CI logs;
 - each entry carries the raw bench payload plus a **per-stage rollup**
   (interpret / simulate / sample / end-to-end seconds for both
   engines) and the **git SHA** it measured, so the performance
@@ -29,6 +28,8 @@ import subprocess
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+
+from .._compat import fold_sum
 
 PathLike = Union[str, Path]
 
@@ -320,7 +321,7 @@ class Attribution:
         (None without an end-to-end timing on both sides)."""
         if self.end_to_end is None:
             return None
-        return self.end_to_end.delta_seconds - sum(
+        return self.end_to_end.delta_seconds - fold_sum(
             d.delta_seconds for d in self.deltas
         )
 

@@ -27,7 +27,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Union
 
-from . import events
 from .metrics import NULL_REGISTRY, MetricsRegistry, NullRegistry
 from .overhead import SelfOverheadAccount
 from .spans import NULL_TRACER, NullTracer, Tracer
@@ -49,17 +48,9 @@ _active: Optional[TelemetrySession] = None
 def start(
     clock: Callable[[], float] = time.perf_counter,
 ) -> TelemetrySession:
-    """Activate a fresh session (replacing any active one).
-
-    The session's tracer publishes span-open/close events onto the
-    *ambient* event bus (:func:`repro.telemetry.events.bus`) — the
-    no-op ``NULL_BUS`` unless the CLI's live scope installed a real
-    one first.
-    """
+    """Activate a fresh session (replacing any active one)."""
     global _active
-    _active = TelemetrySession(
-        tracer=Tracer(clock, bus=events.bus()), metrics=MetricsRegistry()
-    )
+    _active = TelemetrySession(tracer=Tracer(clock), metrics=MetricsRegistry())
     return _active
 
 

@@ -20,8 +20,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional
 
-from .events import NULL_BUS, AnyBus
-
 
 @dataclass
 class Span:
@@ -84,13 +82,8 @@ class Tracer:
 
     enabled = True
 
-    def __init__(
-        self,
-        clock: Callable[[], float] = time.perf_counter,
-        bus: Optional[AnyBus] = None,
-    ) -> None:
+    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self._clock = clock
-        self._bus = bus if bus is not None else NULL_BUS
         self.roots: List[Span] = []
         self._stack: List[Span] = []
 
@@ -102,8 +95,6 @@ class Tracer:
         else:
             self.roots.append(span)
         self._stack.append(span)
-        if self._bus.active:
-            self._bus.publish("span-open", name=name, depth=len(self._stack))
         return _SpanContext(self, span)
 
     def _close(self, span: Span) -> None:
@@ -113,10 +104,6 @@ class Tracer:
         while self._stack:
             if self._stack.pop() is span:
                 break
-        if self._bus.active:
-            self._bus.publish(
-                "span-close", name=span.name, seconds=span.duration
-            )
 
     def current(self) -> Optional[Span]:
         """The innermost open span, if any."""

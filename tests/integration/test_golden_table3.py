@@ -19,5 +19,5 @@ GOLDEN = Path(__file__).resolve().parents[1] / "data" / "golden_table3.json"
 
 def test_table3_json_matches_golden():
     out = io.StringIO()
-    assert main(["table3", "--json", "--quiet"], out=out) == 0
+    assert main(["table3", "--json"], out=out) == 0
     assert out.getvalue() == GOLDEN.read_text()

@@ -155,3 +155,31 @@ class TestCliParity:
                           "--cache", str(tmp_path))
         assert cached == serial
         assert warm == serial
+
+
+class _ClosedStream:
+    """A stream whose reader has gone away: every write raises."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestCliStderr:
+    ARGV = ("table3", "--scale", "0.05", "--json")
+
+    def test_cold_run_writes_only_the_runner_line(self, tmp_path, capsys):
+        code, _ = run_cli(*self.ARGV, "--cache", str(tmp_path))
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "runner: tasks=7 jobs=1 hits=0 misses=7 executed=7\n"
+        )
+
+    def test_closed_stderr_keeps_stdout_and_cache(self, tmp_path,
+                                                  monkeypatch):
+        _, expected = run_cli(*self.ARGV)
+        monkeypatch.setattr("sys.stderr", _ClosedStream())
+        code, text = run_cli(*self.ARGV, "--cache", str(tmp_path))
+        assert code == 0
+        assert text == expected
+        assert json.loads(text)
+        assert len(list(tmp_path.glob("*.json"))) == 7

@@ -285,6 +285,18 @@ class TestParserBasics:
         with pytest.raises(SystemExit):
             run_cli()
 
+    @pytest.mark.parametrize("argv", [
+        ("table3", "--quiet"),
+        ("analyze", "179.ART", "--live", "live.jsonl"),
+        ("summary", "--deadline", "60"),
+        ("bench", "--flightrec", "flightrec.json"),
+        ("dash", "dash.html"),
+    ])
+    def test_removed_live_surface_is_a_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+
 
 class TestNumericValidation:
     """Out-of-range numbers are usage errors (exit 2), never a silent
@@ -312,8 +324,6 @@ class TestNumericValidation:
         ("overhead", "spec", "--jobs", "-1"),
         ("bench", "--tolerance", "-1"),
         ("bench", "--tolerance", "1"),
-        ("analyze", "179.ART", "--deadline", "0"),
-        ("table3", "--deadline", "-2"),
     ])
     def test_bad_value_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -323,7 +333,7 @@ class TestNumericValidation:
 
     def test_period_one_is_honoured(self):
         code, text = run_cli("analyze", "462.libquantum", "--scale", "0.02",
-                             "--period", "1", "--json", "--quiet")
+                             "--period", "1", "--json")
         assert code == 0
         payload = json.loads(text)
         assert payload["sampling_period"] == 1

@@ -1,10 +1,12 @@
 """Unit tests for the bench history store and regression attribution."""
 
+import io
 import json
 from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.experiments.bench import check_regression
 from repro.telemetry import history
 
@@ -302,3 +304,43 @@ class TestCommittedStore:
             0.188, abs=5e-4
         )
         assert "worker" not in attribution.render()
+
+
+HISTORY_DIR = COMMITTED
+
+
+def run_cli(*argv):
+    out = io.StringIO()
+    code = main(list(argv), out=out)
+    return code, out.getvalue()
+
+
+class TestCommittedHistoryAttribution:
+    def test_store_has_at_least_two_snapshots(self):
+        assert len(list(HISTORY_DIR.glob("bench-*.json"))) >= 2
+
+    def test_attribute_names_the_dominant_stage(self):
+        entries = sorted(
+            HISTORY_DIR.glob("bench-*.json"),
+            key=lambda p: json.loads(p.read_text())["stamp"],
+        )
+        code, text = run_cli(
+            "attribute", str(entries[0]), str(entries[-1]),
+            "--history", str(HISTORY_DIR),
+        )
+        assert code == 0
+        assert "<- dominant" in text
+        dominant_line = next(
+            line for line in text.splitlines() if "<- dominant" in line
+        )
+        assert any(stage in dominant_line
+                   for stage in ("interpret", "simulate", "sample"))
+
+    def test_trend_renders_the_committed_store(self):
+        code, text = run_cli("bench", "--trend",
+                             "--history", str(HISTORY_DIR))
+        assert code == 0
+        assert "snapshot(s)" in text
+        for path in HISTORY_DIR.glob("bench-*.json"):
+            entry_id = json.loads(path.read_text())["id"]
+            assert entry_id[:12] in text
