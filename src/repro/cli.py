@@ -14,9 +14,7 @@ paper's artifacts:
     python -m repro accuracy                  # Eq 4 sweep
     python -m repro trace art                 # telemetry: Perfetto trace
     python -m repro stats [workload]          # telemetry: metrics snapshot
-    python -m repro bench [--quick]           # scalar vs batched engine bench
-    python -m repro bench --trend             # throughput trajectory table
-    python -m repro attribute BASE HEAD       # per-stage regression ranking
+    python -m repro attribute BASE HEAD       # perfbench gate: band + layers
     python -m repro lint all --format json    # machine-readable lint report
     python -m repro verify                    # split-safety + false-sharing
                                               # oracle across the zoo
@@ -24,12 +22,10 @@ paper's artifacts:
 
 ``analyze``, ``optimize``, and ``table3`` accept ``--engine
 {scalar,batched}`` (default batched: the columnar fast path, byte-
-identical results — see docs/performance.md); ``bench`` times both
-engines and appends the snapshot to the content-addressed history
-store (``benchmarks/history/``, see ``--history``; ``--out`` still
-writes the raw payload), with ``--check BASELINE`` as the CI
-perf-smoke regression gate — its failure message includes the
-per-stage attribution ``attribute`` prints standalone.
+identical results — see docs/performance.md).  ``attribute`` compares
+two directories of perfbench result lines (``make perf-smoke`` writes
+them) within the runs' own noise band and ranks the traced layers by
+how far they moved; it is the CI perf-smoke gate.
 
 ``analyze``, ``optimize``, and ``table3`` additionally accept
 ``--telemetry DIR`` (export spans/metrics for the run) and — for
@@ -52,9 +48,8 @@ only performance switch.  ``repro cache --stats --cache DIR`` reports
 on the result cache.
 
 Numeric options are validated at parse time: a sampling period, trial
-count or ``--periods`` entry below 1, a non-positive ``--scale``, a
-negative ``--jobs`` or a ``--tolerance`` outside [0, 1) is a usage
-error (exit status 2).
+count or ``--periods`` entry below 1, a non-positive ``--scale`` or a
+negative ``--jobs`` is a usage error (exit status 2).
 """
 
 from __future__ import annotations
@@ -98,16 +93,6 @@ def _positive(text: str) -> float:
     if not (0.0 < value < math.inf):
         raise argparse.ArgumentTypeError(
             f"must be a finite number above 0, got {text}"
-        )
-    return value
-
-
-def _fraction(text: str) -> float:
-    """argparse type: a float in [0, 1) (``--tolerance``)."""
-    value = float(text)
-    if not (0.0 <= value < 1.0):
-        raise argparse.ArgumentTypeError(
-            f"must be at least 0 and below 1, got {text}"
         )
     return value
 
@@ -215,49 +200,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_runner_args(p)
 
     p = sub.add_parser(
-        "bench",
-        help="benchmark the scalar vs batched engines; snapshots append "
-             "to the content-addressed history store (per-layer "
-             "accesses/sec, end-to-end wall time, speedup)",
-    )
-    p.add_argument("--quick", action="store_true",
-                   help="smaller trace, fewer repeats (CI perf-smoke)")
-    p.add_argument("--out", type=str, default=None,
-                   help="also write the raw BENCH snapshot to this path "
-                        "(default: history store only)")
-    p.add_argument("--history", metavar="DIR",
-                   default="benchmarks/history",
-                   help="history store directory the snapshot entry is "
-                        "appended to (default: benchmarks/history)")
-    p.add_argument("--trend", action="store_true",
-                   help="render the stored performance trajectory "
-                        "(sparkline + per-stage table) and exit without "
-                        "benchmarking; also ingests legacy root-level "
-                        "BENCH_*.json snapshots")
-    p.add_argument("--check", metavar="BASELINE", default=None,
-                   help="compare against a baseline BENCH json; exit 1 if "
-                        "batched end-to-end throughput regressed beyond "
-                        "--tolerance (failures include per-stage "
-                        "attribution)")
-    p.add_argument("--tolerance", type=_fraction, default=0.25,
-                   help="allowed fractional throughput regression for "
-                        "--check (default: 0.25)")
-
-    p = sub.add_parser(
         "attribute",
-        help="rank pipeline stages by wall-time delta between two bench "
-             "runs (history entry ids or BENCH/entry json paths) — the "
-             "'which stage regressed' answer behind perf-smoke failures",
+        help="the perf-smoke gate over two directories of perfbench "
+             "results: exit 1 when a median is worse beyond the runs' own "
+             "noise band or a HEAD run failed; rank the traced layers",
     )
-    p.add_argument("base", help="baseline: entry id prefix or json path")
-    p.add_argument("head", help="candidate: entry id prefix or json path")
-    p.add_argument("--history", metavar="DIR",
-                   default="benchmarks/history",
-                   help="history store ids are resolved against "
-                        "(default: benchmarks/history)")
-    p.add_argument("--engine", choices=["scalar", "batched"],
-                   default="batched",
-                   help="which engine's stage timings to attribute")
+    p.add_argument("base", help="directory of the base revision's results")
+    p.add_argument("head", help="directory of the candidate's results")
 
     p = sub.add_parser(
         "trace",
@@ -707,55 +656,17 @@ def _cmd_table3(args, out) -> int:
     return 0
 
 
-def _cmd_bench(args, out) -> int:
-    from .experiments.bench import run_bench, check_regression, write_bench
-    from .memsim import kernel
-    from .telemetry import history
-
-    if args.trend:
-        entries = history.load_history(args.history)
-        print(history.render_trend(entries, history_dir=args.history),
-              file=out)
-        return 0
-    result = run_bench(quick=args.quick)
-    path, entry = history.record_entry(
-        args.history, result, sha=history.git_sha()
-    )
-    print(f"recorded history entry {entry['id']}: {path}", file=out)
-    print(kernel.describe(), file=out)
-    if args.out:
-        print(f"wrote {write_bench(result, args.out)}", file=out)
-    summary = result["end_to_end"]
-    print(
-        f"end-to-end: scalar {summary['scalar']['accesses_per_sec']:,.0f} acc/s, "
-        f"batched {summary['batched']['accesses_per_sec']:,.0f} acc/s, "
-        f"speedup {summary['speedup']:.2f}x",
-        file=out,
-    )
-    if args.check:
-        ok, message = check_regression(result, args.check, args.tolerance)
-        print(message, file=out)
-        if not ok:
-            return 1
-    return 0
-
-
 def _cmd_attribute(args, out) -> int:
-    from .telemetry import history
+    from .telemetry import gate
 
     try:
-        base = history.load_ref(args.base, args.history)
-        head = history.load_ref(args.head, args.history)
-    except (FileNotFoundError, ValueError) as exc:
-        print(str(exc), file=out)
+        verdict = gate.compare(gate.load_runs(args.base),
+                               gate.load_runs(args.head))
+    except gate.GateInputError as exc:
+        _note(f"repro attribute: {exc}")
         return 2
-    attribution = history.attribute(base, head, engine=args.engine)
-    print(attribution.render(), file=out)
-    dominant = attribution.dominant
-    if dominant is None:
-        print("no stages in common between the two runs", file=out)
-        return 2
-    return 0
+    print(verdict.render(), file=out)
+    return 1 if verdict.failures else 0
 
 
 def _cmd_trace(args, out) -> int:
@@ -786,6 +697,7 @@ def _cmd_trace(args, out) -> int:
 
 def _cmd_stats(args, out) -> int:
     from . import telemetry
+    from .memsim import kernel
 
     name = resolve_workload(args.workload)
     if name is None:
@@ -794,6 +706,7 @@ def _cmd_stats(args, out) -> int:
     period = args.period
     if period is None:
         period = workload.recommended_period
+    print(f"# {kernel.describe()}", file=out)
     with telemetry.session() as session:
         result = optimize(workload, monitor=Monitor(sampling_period=period))
         print(telemetry.prometheus_text(session.metrics), file=out)
@@ -914,7 +827,6 @@ _COMMANDS = {
     "optimize": _cmd_optimize,
     "regroup": _cmd_regroup,
     "table3": _cmd_table3,
-    "bench": _cmd_bench,
     "attribute": _cmd_attribute,
     "trace": _cmd_trace,
     "stats": _cmd_stats,

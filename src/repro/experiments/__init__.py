@@ -14,7 +14,6 @@
 """
 
 from .accuracy import run_accuracy_sweep, samples_needed
-from .bench import check_regression, run_bench, write_bench
 from .everything import EvaluationReport, run_complete_evaluation
 from .ablations import (
     AffinityMetricWorkload,
@@ -71,7 +70,6 @@ __all__ = [
     "Table",
     "bar_chart",
     "benchmark_record",
-    "check_regression",
     "figure6",
     "kernel_overhead",
     "measure_period_point",
@@ -81,7 +79,6 @@ __all__ = [
     "run_affinity_metric_ablation",
     "run_all",
     "run_art_analysis",
-    "run_bench",
     "run_benchmark",
     "run_collection_cost",
     "run_maximal_split_ablation",
@@ -95,5 +92,4 @@ __all__ = [
     "table3",
     "table4",
     "table5",
-    "write_bench",
 ]

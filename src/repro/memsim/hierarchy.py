@@ -232,9 +232,7 @@ class MemoryHierarchy:
             self._kernel_tried = True
             self._kernel = kernel.attach(self)
             if self._kernel is not None:
-                self.cores = self._kernel.cores
-                self.l3 = self._kernel.l3
-                self.directory = self._kernel.directory
+                self.cores, self.l3, self.directory = self._kernel.views()
         if self._kernel is not None:
             return self._kernel.walk(addresses, sizes, is_write, thread)
         return self._access_batch_general(addresses, sizes, is_write, thread)

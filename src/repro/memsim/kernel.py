@@ -129,11 +129,13 @@ def status() -> Dict[str, str]:
 
 
 def describe() -> str:
-    """One line for ``repro bench``: which walk ran."""
+    """One line saying which walk batched runs take, and why;
+    ``repro stats`` prints it as a comment at the top."""
     state = status()
     if state["status"] == "compiled":
         return f"walk kernel: compiled ({state['detail']})"
-    return f"walk kernel: unavailable ({state['detail']}) — scalar walk"
+    return (f"walk kernel: unavailable ({state['detail']}) — Python batch "
+            f"walk")
 
 
 def attach(hierarchy) -> Optional["KernelWalk"]:
@@ -240,14 +242,20 @@ class KernelWalk:
         self._frombuffer = frombuffer
         self._import_state(hierarchy, pf_off)
 
-        self.cores = [
-            _CoreView(self, c, tlb is not None, 4 * c, pf_off + 2 * c)
-            for c in range(len(cores))
-        ]
-        self.l3 = _LevelView(self, len(rows) - 1)
-        self.directory = (
-            _DirectoryView(self, directory) if directory is not None else None
-        )
+        self._tlb = tlb is not None
+        self._pf_off = pf_off
+        self._directory = directory
+
+    def views(self):
+        """``(cores, l3, directory)`` for the hierarchy, read through this
+        walk's arrays.  The walk keeps no reference to them: a cycle
+        through it would hold its arrays (megabytes on the 4-core
+        machine) until the cyclic GC next ran."""
+        cores = [_CoreView(self, c, self._tlb, 4 * c, self._pf_off + 2 * c)
+                 for c in self._core_ids]
+        directory = (_DirectoryView(self, self._directory)
+                     if self._directory is not None else None)
+        return cores, _LevelView(self, len(self.rows) - 1), directory
 
     def _import_state(self, hierarchy, pf_off: int) -> None:
         """Copy the Python walk's state (all empty for a fresh hierarchy)

@@ -14,12 +14,13 @@ composable profiling stages:
 - :mod:`~repro.telemetry.overhead` — the decomposed self-overhead
   account behind Table 3's single overhead number;
 - :mod:`~repro.telemetry.session` — the process-global on/off switch
-  with a near-zero-cost no-op path when disabled.
+  with a near-zero-cost no-op path when disabled;
+- :mod:`~repro.telemetry.gate` — ``repro attribute``, the perf-smoke
+  gate over perfbench results (imported on use).
 
 See ``docs/observability.md`` for the span taxonomy and metric names.
 """
 
-from . import history
 from .export import (
     chrome_trace,
     jsonl,
@@ -69,7 +70,6 @@ __all__ = [
     "TelemetrySession",
     "Tracer",
     "absorb_payload",
-    "history",
     "active",
     "capture_session",
     "chrome_trace",

@@ -32,7 +32,7 @@ def test_compilerless_run_falls_back_with_identical_output(tmp_path):
     assert status.startswith(
         "walk kernel: unavailable (false exited with status 1)"
     )
-    assert status.rstrip().endswith("scalar walk")
+    assert status.rstrip().endswith("— Python batch walk")
     fallback = repro(["-m", "repro", *ANALYZE], **no_cc)
     compiled = repro(["-m", "repro", *ANALYZE],
                      XDG_CACHE_HOME=str(tmp_path / "cc"))

@@ -183,6 +183,7 @@ class TestStatsCommand:
     def test_stats_shows_cache_counters_and_account(self):
         code, text = run_cli("stats", "--scale", "0.1")
         assert code == 0
+        assert text.startswith("# walk kernel: ")
         assert 'repro_memsim_cache_misses_total{level="L1"}' in text
         assert 'repro_memsim_cache_misses_total{level="L3"}' in text
         assert "self-overhead account:" in text
@@ -289,7 +290,7 @@ class TestParserBasics:
         ("table3", "--quiet"),
         ("analyze", "179.ART", "--live", "live.jsonl"),
         ("summary", "--deadline", "60"),
-        ("bench", "--flightrec", "flightrec.json"),
+        ("overhead", "spec", "--flightrec", "flightrec.json"),
         ("dash", "dash.html"),
     ])
     def test_removed_live_surface_is_a_usage_error(self, argv):
@@ -322,8 +323,8 @@ class TestNumericValidation:
         ("summary", "--scale", "0"),
         ("table3", "--jobs", "-3"),
         ("overhead", "spec", "--jobs", "-1"),
-        ("bench", "--tolerance", "-1"),
-        ("bench", "--tolerance", "1"),
+        ("views", "TSP", "--scale", "0"),
+        ("sensitivity", "179.ART", "--scale", "-1"),
     ])
     def test_bad_value_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

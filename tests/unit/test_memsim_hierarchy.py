@@ -190,3 +190,29 @@ class TestStats:
         m = RunMetrics(accesses=4, total_latency=40.0)
         assert m.average_latency() == 10.0
         assert RunMetrics().average_latency() == 0.0
+
+
+class TestKernelLifetime:
+    def test_dropped_hierarchy_frees_its_kernel_without_the_cyclic_gc(self):
+        """The kernel's read-only views point at the walk, and the walk
+        does not point back, so its arrays (megabytes on the 4-core
+        machine) go with the hierarchy instead of at the next full GC."""
+        import gc
+        import weakref
+
+        from repro.memsim import kernel
+
+        if kernel.load() is None:
+            pytest.skip(kernel.describe())
+        h = MemoryHierarchy(HierarchyConfig(), 4)
+        h.access_batch([0, 64, 128, 192], [4] * 4, [1, 0, 1, 0], [0, 1, 2, 3])
+        assert h.cores[1].l1.hits + h.cores[1].l1.misses == 1
+        walk = weakref.ref(h._kernel)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del h
+            assert walk() is None
+        finally:
+            if enabled:
+                gc.enable()

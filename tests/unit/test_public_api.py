@@ -81,3 +81,22 @@ class TestSubpackageAPI:
                 obj = getattr(module, name)
                 if inspect.isclass(obj) or inspect.isfunction(obj):
                     assert obj.__doc__, f"{module_name}.{name} lacks a docstring"
+
+    @pytest.mark.parametrize("module,names", [
+        ("repro.experiments", ["run_bench", "check_regression",
+                               "write_bench"]),
+        ("repro.telemetry", ["history"]),
+    ])
+    def test_removed_bench_surface_is_gone(self, module, names):
+        """perfbench is the only timing harness: the ``repro bench``
+        helpers and the bench history store are not exported, and the
+        modules that held them do not exist."""
+        import importlib
+        import importlib.util
+
+        mod = importlib.import_module(module)
+        for name in names:
+            assert not hasattr(mod, name), f"{module}.{name}"
+            assert name not in getattr(mod, "__all__", [])
+        for gone in ("repro.experiments.bench", "repro.telemetry.history"):
+            assert importlib.util.find_spec(gone) is None, gone
