@@ -85,6 +85,16 @@ class TestEndToEnd:
         assert "within band" in text
         assert text.rstrip().splitlines()[-1].startswith("OK:")
 
+    def test_pass_output_has_no_failure_or_dominant(self, sides):
+        base, head = sides
+        for side in sides:
+            write_runs(side, "table2-1core.trace0.jsonl", end_to_end())
+            write_runs(side, "table2-1core.trace1.jsonl", layers())
+        code, text = attribute(base, head)
+        assert code == 0
+        assert "FAIL" not in text and "<- dominant" not in text
+        assert text.rstrip().splitlines()[-1].startswith("OK:")
+
     def test_better_beyond_band_passes(self, sides):
         base, head = sides
         write_runs(base, "dense-sampling.trace0.jsonl", end_to_end())
@@ -136,6 +146,18 @@ class TestLayers:
         ranked = [line.split()[0] for line in text.splitlines()
                   if " pp  band " in line]
         assert ranked == ["memsim.walk_s", "sampling.observe_s", "unexplained"]
+
+    def test_failure_output_names_the_guilty_layer(self, sides):
+        base, head = sides
+        write_runs(base, "table2-1core.trace0.jsonl", end_to_end())
+        write_runs(base, "table2-1core.trace1.jsonl", layers())
+        write_runs(head, "table2-1core.trace0.jsonl", end_to_end(1.2))
+        write_runs(head, "table2-1core.trace1.jsonl", layers(walk=0.36))
+        code, text = attribute(base, head)
+        assert code == 1
+        assert "FAIL: table2-1core wall_s worse" in text
+        dominant = [line for line in text.splitlines() if "<- dominant" in line]
+        assert [line.split()[0] for line in dominant] == ["memsim.walk_s"]
 
     def test_layer_delta_inside_its_band_is_not_named(self, sides):
         base, head = sides
